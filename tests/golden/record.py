@@ -1,0 +1,92 @@
+"""Record the golden CLI corpus: one stdout file per command plus manifest.json.
+
+    python3 tests/golden/record.py [SRC_DIR]
+
+Each command runs as `python -m weylorbits ...` in a fresh interpreter with
+SRC_DIR (default: this checkout's src/) on PYTHONPATH. manifest.json lists
+every command with its argv and exit code; tests/test_golden.py replays the
+commands and compares stdout byte for byte. Re-record only when an output
+change is intended.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEFAULT_SRC = os.path.join(os.path.dirname(os.path.dirname(HERE)), "src")
+
+# CRITERION_4_DATA of the acceptance gate: family, rank, I, J, K
+POSETS = (
+    ("A", 3, "1", "3", ""),
+    ("A", 5, "1", "5", "3"),
+    ("B", 4, "1", "3", ""),
+    ("D", 4, "1", "3", ""),
+)
+# the samples of the seven-case heights (case A1 never labels an offender)
+CLASSIFY = (
+    ("D", 4, ("1 2 1 1", "1 0 0 0", "0 0 1 0", "0 0 0 1")),
+    ("B", 3, ("1 2 2", "1 0 0", "0 0 1")),
+    ("C", 3, ("0 1 0", "0 1 1", "2 2 1")),
+    ("B", 2, ("0 1", "1 1")),
+    ("B", 2, ("1 2", "1 0")),
+    ("G", 2, ("3 2", "1 0")),
+)
+
+
+def _datum_args(f, r, I, J, K):
+    return ["--type", f, "--rank", str(r), "--I", I, "--J", J] + (["--K", K] if K else [])
+
+
+def cases():
+    out = []
+    for f, r, I, J, K in POSETS:
+        tag = f"{f}{r}-I{I}-J{J}" + (f"-K{K}" if K else "")
+        for fmt in ("text", "json", "dot"):
+            out.append((f"poset-{tag}.{fmt}", ["poset"] + _datum_args(f, r, I, J, K) + ["--format", fmt]))
+    for n in range(1, 7):
+        for r in range(n // 2 + 1):
+            out.append((f"orbits-n{n}-r{r}.text", ["orbits", "--n", str(n), "--r", str(r)]))
+    for rank in (7, 8):
+        out.append((f"cascade-E{rank}.text", ["cascade", "--type", "E", "--rank", str(rank)]))
+    for k, (f, r, roots) in enumerate(CLASSIFY):
+        for fmt in ("text", "json"):
+            out.append((f"classify-{k}-{f}{r}.{fmt}", ["classify", "--type", f, "--rank", str(r), "--format", fmt, *roots]))
+    out.append((
+        "compare-A3-perm-nr.text",
+        ["compare"] + _datum_args("A", 3, "1", "3", "") + ["--perm", "--nr", "4 2", "1 2 3 4", "4 3 1 2"],
+    ))
+    for tag, spec, lhs, rhs in (
+        ("D4", ("D", 4, "1", "3", ""), "2 1", "3 2 1 4 2 3"),
+        ("A5-K3", ("A", 5, "1", "5", "3"), "2 1 3", "4 3 2 1 5 4"),
+        ("A5-K3-incomparable", ("A", 5, "1", "5", "3"), "1 2 3 4 5", "2 1 3 4 5 4 3 2 1"),
+    ):
+        out.append((f"compare-{tag}.text", ["compare"] + _datum_args(*spec) + [lhs, rhs]))
+    out.append(("selftest.text", ["selftest"]))
+    return out
+
+
+def main(argv) -> int:
+    src = os.path.abspath(argv[0]) if argv else DEFAULT_SRC
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("WEYLORBITS_CAP", None)
+    manifest = []
+    for name, args in cases():
+        proc = subprocess.run([sys.executable, "-m", "weylorbits", *args], env=env, capture_output=True)
+        if proc.stderr:
+            print(f"{name}: stderr {proc.stderr.decode()!r}", file=sys.stderr)
+        with open(os.path.join(HERE, name), "wb") as fh:
+            fh.write(proc.stdout)
+        manifest.append({"name": name, "argv": args, "exit": proc.returncode})
+        print(f"{name}: exit {proc.returncode}, {len(proc.stdout)} bytes")
+    with open(os.path.join(HERE, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
