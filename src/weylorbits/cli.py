@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linkpatterns as lp
 from . import nilpotent as nil
 from . import quotient as qt
-from .roots import Coords, RootSystem, build_root_system, InvalidRankError
+from .roots import RootSystem, build_root_system, InvalidRankError
 from .weyl import (
     CapExceededError,
     WeylElement,
@@ -48,26 +48,40 @@ def _parse_star(text: str) -> Dict[int, int]:
     star = {}
     for piece in text.replace(",", " ").split():
         a, _, b = piece.partition(":")
-        star[int(a)] = int(b)
+        try:
+            star[int(a)] = int(b)
+        except ValueError as exc:
+            raise UsageError(f"cannot parse star pair {piece!r}; expected i:j") from exc
     return star
 
 
-def _build_system(args: argparse.Namespace) -> RootSystem:
+def _parse_nr(text: str) -> Tuple[int, int]:
+    values = _parse_ints(text)
+    if len(values) != 2:
+        raise UsageError(f"--nr needs two integers n r, got {text!r}")
+    return values[0], values[1]
+
+
+def _build_system(family: str, rank: int) -> RootSystem:
+    """The root system, with the WEYLORBITS_CAP group-size limit applied."""
     try:
-        system = build_root_system(args.type, args.rank)
+        system = build_root_system(family, rank)
     except InvalidRankError as exc:
         raise UsageError(str(exc)) from exc
     cap = os.environ.get("WEYLORBITS_CAP")
     if cap is not None:
         try:
-            weyl_group(system, cap=int(cap))
+            limit = int(cap)
         except ValueError as exc:
             raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}") from exc
+        if limit < 1:
+            raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
+        weyl_group(system, cap=limit)
     return system
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
-    system = _build_system(args)
+    system = _build_system(args.type, args.rank)
     I = _parse_ints(args.I) if args.I else []
     J = _parse_ints(args.J) if args.J else []
     K = _parse_ints(args.K) if args.K else []
@@ -89,7 +103,10 @@ def _write(args: argparse.Namespace, text: str) -> None:
 def _parse_word(datum: qt.IJKDatum, text: str, perm: bool) -> qt.QuotientElement:
     system = datum.system
     if perm:
-        w = from_line_notation(system, _parse_ints(text))
+        try:
+            w = from_line_notation(system, _parse_ints(text))
+        except ValueError as exc:
+            raise UsageError(f"--perm {text!r}: {exc}") from exc
     else:
         word = _parse_ints(text)
         if any(not 1 <= i <= system.rank for i in word):
@@ -139,21 +156,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         lines.append(f"not {_word_str(wp.rep)} <=_O {_word_str(w.rep)}")
     if datum.system.family == "A" and args.nr:
-        n, r = _parse_ints(args.nr)
-        for label, node in (("lhs", wp), ("rhs", w)):
-            line = to_line_notation(node.rep)
-            lines.append(
-                f"{label} S_w = ({' '.join(map(str, lp.seq_S(line, r)))})"
-            )
-        dl = lp.olp_from_perm(to_line_notation(wp.rep), r)
-        dr = lp.olp_from_perm(to_line_notation(w.rep), r)
+        n, r = _parse_nr(args.nr)
+        try:
+            for label, node in (("lhs", wp), ("rhs", w)):
+                line = to_line_notation(node.rep)
+                lines.append(
+                    f"{label} S_w = ({' '.join(map(str, lp.seq_S(line, r)))})"
+                )
+            dl = lp.olp_from_perm(to_line_notation(wp.rep), r)
+            dr = lp.olp_from_perm(to_line_notation(w.rep), r)
+        except ValueError as exc:
+            raise UsageError(f"--nr {args.nr!r}: {exc}") from exc
         lines.append(f"leq_D: {lp.leq_D(dl, dr)}")
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK if rel or rel_back else EXIT_FAIL
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    system = _build_system(args)
+    system = _build_system(args.type, args.rank)
     thetas = []
     for spec_text in args.root:
         coords = tuple(_parse_ints(spec_text))
@@ -209,7 +229,9 @@ def _report_json(report: nil.ClassificationReport) -> Dict:
 
 
 def cmd_cascade(args: argparse.Namespace) -> int:
-    system = _build_system(args)
+    if args.depth is not None and args.depth < 0:
+        raise UsageError("--depth must be >= 0")
+    system = _build_system(args.type, args.rank)
     tree = nil.chain_cascade(system, args.depth)
     lines: List[str] = []
 
@@ -233,6 +255,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
     if 2 * r > n or r < 0:
         raise UsageError("need 0 <= 2r <= n")
+    if r:
+        _build_system("A", n - 1)  # the group orbit_pair_params enumerates
     params = lp.orbit_pair_params(n, r)
     rows = []
     for (w1inv, w2inv), line, zdim in params:
@@ -282,12 +306,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         if not ok:
             failures.append(name)
 
-    if args.nr:
-        pairs_nr = [tuple(_parse_ints(args.nr))]
-    else:
-        pairs_nr = [(4, 2), (5, 2)]
-    for n, r in pairs_nr:
-        datum = lp.type_a_datum(n, r)
+    pairs_nr = [_parse_nr(args.nr)] if args.nr else [(4, 2), (5, 2)]
+    coxeter = args.coxeter or "A3"
+    try:
+        family, rank = coxeter[0].upper(), int(coxeter[1:])
+    except ValueError as exc:
+        raise UsageError(f"cannot parse --coxeter {coxeter!r}; expected e.g. B3") from exc
+    try:
+        type_a = [(n, r, lp.type_a_datum(n, r)) for n, r in pairs_nr]
+        cover_datum = qt.IJKDatum(build_root_system(family, rank), [1], [3])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    for n, r, datum in type_a:
         nodes = datum.quotient_elements()
         lines = [to_line_notation(node.rep) for node in nodes]
         pats = [lp.olp_from_perm(line, r) for line in lines]
@@ -303,10 +333,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             if bad:
                 break
         check(f"order equivalence (n={n}, r={r})", bad is None, str(bad))
-    coxeter = args.coxeter or "A3"
-    family, rank = coxeter[0].upper(), int(coxeter[1:])
-    system = build_root_system(family, rank)
-    datum = qt.IJKDatum(system, [1], [3])
+    datum = cover_datum
     nodes = datum.quotient_elements()
     ok = True
     detail = ""

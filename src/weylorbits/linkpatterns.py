@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
-from .roots import RootSystem, build_root_system
+from .roots import build_root_system
 from .quotient import IJKDatum
-from .weyl import WeylElement, from_line_notation, parabolic_decompose, to_line_notation
+from .weyl import to_line_notation
 
 Arrow = Tuple[int, int]
 
@@ -77,7 +77,8 @@ def perm_from_olp(d: OrientedLinkPattern) -> Tuple[int, ...]:
     used = set(sources) | set(targets)
     middle = [v for v in range(1, n + 1) if v not in used]
     w = targets + middle + sources
-    assert olp_from_perm(w, r) == d
+    if olp_from_perm(w, r) != d:
+        raise AssertionError("pattern does not round-trip through its permutation")
     return tuple(w)
 
 
@@ -105,7 +106,8 @@ def matrix_from_olp(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
     for s, t in d.arrows:
         m[t - 1][s - 1] = 1
     mat = tuple(tuple(row) for row in m)
-    assert _is_square_zero(mat)
+    if not _is_square_zero(mat):
+        raise AssertionError("pattern matrix does not square to zero")
     return mat
 
 

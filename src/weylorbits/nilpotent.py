@@ -364,7 +364,8 @@ def _component_highest(system: RootSystem, comp: List[Coords]) -> Coords:
         for b in pos
         if all(tuple(x + y for x, y in zip(b, a)) not in cset for a in pos)
     ]
-    assert len(best) == 1, "component has no unique highest root"
+    if len(best) != 1:
+        raise AssertionError("component has no unique highest root")
     return best[0]
 
 

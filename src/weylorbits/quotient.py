@@ -9,23 +9,19 @@ it is computed through the Bruhat-minimal coset members Min(w').
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .roots import RootSystem
-from .weyl import (
-    WeylElement,
-    WeylGroup,
-    from_word,
-    identity,
-    parabolic_decompose,
-    simple_reflection,
-    weyl_group,
-)
+from .weyl import WeylElement, WeylGroup, simple_mask, weyl_group
 
 
 class IJKDatum:
-    """The triple (I, J, K) with the star isomorphism W_I -> W_J."""
+    """The triple (I, J, K) with the star isomorphism W_I -> W_J.
+
+    Works on the integer tables of the group: W_I, W_K, the star images
+    x -> x* and the products x x* are computed once here.
+    """
 
     def __init__(
         self,
@@ -47,7 +43,18 @@ class IJKDatum:
         self._validate()
         self.group: WeylGroup = weyl_group(system)
         self.L = tuple(sorted(self.I + self.J + self.K))
-        self._min_cache: Dict[Tuple, List[WeylElement]] = {}
+        g = self.group
+        self._jk_mask = simple_mask(self.J + self.K)
+        self._l_mask = simple_mask(self.L)
+        self._w_i = g.subgroup_indices(self.I)
+        self._w_k = g.subgroup_indices(self.K)
+        # a reduced word of x in W_I maps letter by letter to one of x*
+        self._star = {
+            x: g.apply_word(0, [self.star_map[i] for i in g.words[x]]) for x in self._w_i
+        }
+        self._diag = [g.product(x, self._star[x]) for x in self._w_i]
+        self._unstar = {v: k for k, v in self.star_map.items()}
+        self._min_cache: Dict[int, List[int]] = {}
 
     def _validate(self) -> None:
         rs = self.system
@@ -91,50 +98,52 @@ class IJKDatum:
 
     def star_extend(self, x: WeylElement) -> WeylElement:
         """Image of x in W_J under the induced isomorphism."""
-        word = x.reduced_word()
-        if any(i not in self.I for i in word):
+        image = self._star.get(self.group.idx(x))
+        if image is None:
             raise ValueError("element is not in W_I")
-        return from_word(self.system, [self.star_map[i] for i in word])
+        return self.group.elements[image]
 
     def w_i_elements(self) -> List[WeylElement]:
-        return self.group.subgroup_elements(self.I)
+        return [self.group.elements[x] for x in self._w_i]
 
     def w_k_elements(self) -> List[WeylElement]:
-        return self.group.subgroup_elements(self.K)
+        return [self.group.elements[a] for a in self._w_k]
+
+    def _coset(self, w: int) -> List[int]:
+        g = self.group
+        out = []
+        seen = set()
+        for a in self._w_k:
+            wa = g.product(w, a)
+            for xx in self._diag:
+                u = g.product(wa, xx)
+                if u not in seen:
+                    seen.add(u)
+                    out.append(u)
+        if len(out) != len(self._w_k) * len(self._w_i):
+            raise AssertionError("coset size differs from |W_K| * |W_I|")
+        return out
 
     def coset(self, w: WeylElement) -> List[WeylElement]:
         """[w] = {w a x x* : a in W_K, x in W_I}; size |W_K| * |W_I|."""
-        out = []
-        seen = set()
-        for a in self.w_k_elements():
-            wa = w * a
-            for x in self.w_i_elements():
-                u = wa * x * self.star_extend(x)
-                if u.matrix not in seen:
-                    seen.add(u.matrix)
-                    out.append(u)
-        assert len(out) == len(self.w_k_elements()) * len(self.w_i_elements())
-        return out
+        return [self.group.elements[u] for u in self._coset(self.group.idx(w))]
 
     def canonical_rep(self, w: WeylElement) -> "QuotientElement":
         """The unique member of [w] with no right descent in J u K."""
-        jk = set(self.J) | set(self.K)
+        g = self.group
         hits = [
-            u for u in self.coset(w) if not jk.intersection(u.right_descents())
+            u for u in self._coset(g.idx(w)) if not g.descents[u] & self._jk_mask
         ]
-        assert len(hits) == 1, "coset transversal property violated"
-        return QuotientElement(self, hits[0])
+        if len(hits) != 1:
+            raise AssertionError("coset transversal property violated")
+        return QuotientElement(self, g.elements[hits[0]])
 
     def quotient_elements(self) -> List["QuotientElement"]:
         """All of W(I,J,K) = W^{J u K}, by (length, reduced word)."""
-        jk = set(self.J) | set(self.K)
-        reps = [
-            w
-            for w in self.group.elements
-            if not jk.intersection(w.right_descents())
-        ]
-        reps.sort(key=lambda w: (w.length(), w.reduced_word()))
-        return [QuotientElement(self, w) for w in reps]
+        g = self.group
+        reps = [k for k, d in enumerate(g.descents) if not d & self._jk_mask]
+        reps.sort(key=lambda k: (g.lengths[k], g.words[k]))
+        return [QuotientElement(self, g.elements[k]) for k in reps]
 
     # -- membership in the union of Min sets ---------------------------------
 
@@ -145,35 +154,59 @@ class IJKDatum:
         components as u_I, u_J, u_K, one needs u_K trivial, u_J = v* with
         v in W_I, and l(u_I v^{-1}) = l(u_I) + l(v).
         """
-        _, u_l = parabolic_decompose(u, self.L)
-        word = u_l.reduced_word()
-        iset, jset = set(self.I), set(self.J)
-        word_i = [i for i in word if i in iset]
-        word_j = [i for i in word if i in jset]
+        g = self.group
+        _, letters = g.strip_descents(g.idx(u), self._l_mask)
+        # the parts commute, so each part's letters spell a reduced word of it
+        word = letters[::-1]
+        word_i = [i for i in word if i in self.star_map]
+        word_j = [i for i in word if i in self._unstar]
         if len(word_i) + len(word_j) != len(word):
             return False  # nontrivial K component
-        u_i = from_word(self.system, word_i)
-        u_j = from_word(self.system, word_j)
-        unstar = {v: k for k, v in self.star_map.items()}
-        v = from_word(self.system, [unstar[i] for i in word_j])
-        if self.star_extend(v) != u_j:
+        u_i = g.apply_word(0, word_i)
+        u_j = g.apply_word(0, word_j)
+        v = g.apply_word(0, [self._unstar[i] for i in word_j])
+        if self._star[v] != u_j:
             return False
-        return (u_i * v.inv()).length() == u_i.length() + v.length()
+        lengths = g.lengths
+        return lengths[g.product(u_i, g.inverse[v])] == lengths[u_i] + lengths[v]
+
+    def _min_indices(self, w: "QuotientElement") -> List[int]:
+        """Min(w) as group indices, cached per representative."""
+        cached = self._min_cache.get(w.idx)
+        if cached is None:
+            g = self.group
+            lengths = g.lengths
+            w2 = w.w2_idx
+            cached = [
+                g.product(w.idx, xx)
+                for x, xx in zip(self._w_i, self._diag)
+                if lengths[g.product(w2, x)] + lengths[x] == lengths[w2]
+            ]
+            if any(lengths[u] != lengths[w.idx] for u in cached):
+                raise AssertionError("Min(w) has a member of another length")
+            self._min_cache[w.idx] = cached
+        return cached
 
 
 class QuotientElement:
     """An element of W(I,J,K) with its cached parabolic factorization."""
 
-    __slots__ = ("datum", "rep", "w1", "w2")
+    __slots__ = ("datum", "rep", "w1", "w2", "idx", "w2_idx")
 
     def __init__(self, datum: IJKDatum, rep: WeylElement):
-        jk = set(datum.J) | set(datum.K)
-        if jk.intersection(rep.right_descents()):
+        g = datum.group
+        k = g.idx(rep)
+        if g.descents[k] & datum._jk_mask:
             raise ValueError("representative has a right descent in J u K")
+        upper, letters = g.strip_descents(k, datum._l_mask)
+        if any(i not in datum.I for i in letters):
+            raise AssertionError("W_L part of a quotient element is not in W_I")
+        lower = g.apply_word(0, letters[::-1])
         self.datum = datum
-        self.rep = rep
-        self.w1, self.w2 = parabolic_decompose(rep, datum.L)
-        assert all(i in datum.I for i in self.w2.reduced_word())
+        self.idx = k
+        self.w2_idx = lower
+        self.rep = g.elements[k]
+        self.w1, self.w2 = g.elements[upper], g.elements[lower]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuotientElement) and self.rep == other.rep
@@ -185,22 +218,13 @@ class QuotientElement:
         return repr(self.rep)
 
     def length(self) -> int:
-        return self.rep.length()
+        return self.datum.group.lengths[self.idx]
 
 
 def min_set(w: QuotientElement) -> List[WeylElement]:
     """Min(w) = {w x x* : x in W_I, l(w2 x) + l(x) = l(w2)}."""
-    datum = w.datum
-    cached = datum._min_cache.get(w.rep.matrix)
-    if cached is not None:
-        return cached
-    out = []
-    for x in datum.w_i_elements():
-        if (w.w2 * x).length() + x.length() == w.w2.length():
-            out.append(w.rep * x * datum.star_extend(x))
-    assert all(u.length() == w.length() for u in out)
-    datum._min_cache[w.rep.matrix] = out
-    return out
+    elements = w.datum.group.elements
+    return [elements[u] for u in w.datum._min_indices(w)]
 
 
 def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
@@ -215,21 +239,23 @@ def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
     ):
         raise ValueError("elements from different data")
     group = w.datum.group
-    return any(group.bruhat_leq(u, w.rep) for u in min_set(wp))
+    return any(group.bruhat_idx(u, w.idx) for u in d1._min_indices(wp))
 
 
 def covers_O_below(w: QuotientElement) -> List[QuotientElement]:
     """All w' covered by w: Bruhat covers below w that lie in some Min set."""
     datum = w.datum
+    group = datum.group
     out = []
     seen = set()
-    for u in datum.group.bruhat_covers_below(w.rep):
+    for u in group.bruhat_covers_below(w.rep):
         if datum.member_of_M(u):
             wp = datum.canonical_rep(u)
-            if wp.rep.matrix not in seen:
-                seen.add(wp.rep.matrix)
+            if wp.idx not in seen:
+                seen.add(wp.idx)
                 out.append(wp)
-    assert all(wp.length() == w.length() - 1 for wp in out)
+    if any(wp.length() != w.length() - 1 for wp in out):
+        raise AssertionError("a cover below w is not one rank lower")
     return out
 
 
@@ -283,10 +309,10 @@ def _word_label(word: Sequence[int]) -> str:
 def build_poset(datum: IJKDatum) -> PosetGraph:
     """Nodes = W(I,J,K); edges = all cover pairs of <=_O."""
     nodes = datum.quotient_elements()
-    index = {node.rep.matrix: i for i, node in enumerate(nodes)}
+    index = {node.idx: i for i, node in enumerate(nodes)}
     edges = []
     for i, node in enumerate(nodes):
         for wp in covers_O_below(node):
-            edges.append((index[wp.rep.matrix], i))
+            edges.append((index[wp.idx], i))
     edges.sort()
     return PosetGraph(nodes, edges)

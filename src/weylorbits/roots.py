@@ -163,14 +163,17 @@ class RootSystem:
         self.rank = datum.rank
         self.cartan = datum.cartan
         self.symm = datum.symm
+        # bonds[i]: the (j, a_ij) with j != i and a_ij != 0, 0-based
+        self.bonds: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a and j != i)
+            for i, row in enumerate(self.cartan)
+        )
         self.roots: Tuple[Coords, ...] = self._generate()
         self.root_set = frozenset(self.roots)
         self.positive_roots: Tuple[Coords, ...] = tuple(
             r for r in self.roots if self.is_positive(r)
         )
         self.highest_root: Coords = self._highest()
-        self._length_cache: Dict[object, int] = {}
-        self._bruhat_cache: Dict[object, bool] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -205,7 +208,8 @@ class RootSystem:
                 if best is not None:
                     raise ValueError("reducible system has no unique highest root")
                 best = b
-        assert best is not None
+        if best is None:
+            raise AssertionError("root system has no highest root")
         return best
 
     # -- basic predicates ---------------------------------------------------
@@ -399,13 +403,22 @@ def _solve_least(
     return tuple(sol)
 
 
+# One RootSystem per (family, rank) and process; its Weyl group is cached on it.
+_SYSTEMS: Dict[Tuple[str, int], RootSystem] = {}
+
+
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Build the root system of the given family and rank."""
+    """The root system of the given family and rank, built once per process."""
     family = family.upper()
+    rs = _SYSTEMS.get((family, rank))
+    if rs is not None:
+        return rs
     if not _rank_ok(family, rank):
         raise InvalidRankError(f"unsupported root system {family}{rank}")
     datum = CartanDatum(family, rank, cartan_matrix(family, rank), symmetrizer(family, rank))
     rs = RootSystem(datum)
     expected = CLASSICAL_COUNTS[family](rank)
-    assert len(rs.roots) == expected, (family, rank, len(rs.roots), expected)
+    if len(rs.roots) != expected:
+        raise AssertionError(f"{family}{rank} has {len(rs.roots)} roots, expected {expected}")
+    _SYSTEMS[(family, rank)] = rs
     return rs

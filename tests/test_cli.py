@@ -204,3 +204,58 @@ def test_cap_override(capsys, monkeypatch):
 def test_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def _assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_bad_star_pair(capsys):
+    _assert_usage_error(capsys, "poset", *FIG_ARGS, "--star", "x:y")
+
+
+def test_perm_not_a_permutation(capsys):
+    _assert_usage_error(capsys, "compare", *FIG_ARGS, "--perm", "1 1 2 3", "1 2 3 4")
+
+
+def test_selftest_nr_needs_two_integers(capsys):
+    _assert_usage_error(capsys, "selftest", "--nr", "3")
+
+
+def test_selftest_unknown_coxeter(capsys):
+    _assert_usage_error(capsys, "selftest", "--coxeter", "Z9")
+
+
+def test_selftest_coxeter_without_index_3(capsys):
+    _assert_usage_error(capsys, "selftest", "--coxeter", "G2")
+
+
+def test_cascade_negative_depth(capsys):
+    _assert_usage_error(capsys, "cascade", "--type", "A", "--rank", "3", "--depth", "-1")
+
+
+def test_cap_applies_to_cached_group(capsys, monkeypatch):
+    monkeypatch.delenv("WEYLORBITS_CAP", raising=False)
+    code, _, _ = run(capsys, "poset", "--type", "A", "--rank", "3")
+    assert code == 0
+    monkeypatch.setenv("WEYLORBITS_CAP", "23")
+    code, out, err = run(capsys, "poset", "--type", "A", "--rank", "3")
+    assert code == 3 and out == ""
+    assert err == "error: enumeration cap exceeded; partial size 23\n"
+    monkeypatch.setenv("WEYLORBITS_CAP", "24")
+    code, _, _ = run(capsys, "poset", "--type", "A", "--rank", "3")
+    assert code == 0
+
+
+def test_orbits_honours_cap(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLORBITS_CAP", "10")
+    code, out, err = run(capsys, "orbits", "--n", "4", "--r", "2")
+    assert code == 3 and out == ""
+    assert err == "error: enumeration cap exceeded; partial size 10\n"
+    monkeypatch.setenv("WEYLORBITS_CAP", "24")
+    code, _, _ = run(capsys, "orbits", "--n", "4", "--r", "2")
+    assert code == 0

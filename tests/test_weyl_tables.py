@@ -1,0 +1,131 @@
+"""The integer tables of WeylGroup against element-level arithmetic."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylorbits.linkpatterns import type_a_datum
+from weylorbits.nilpotent import classify, levi_and_involution, orthogonal_set
+from weylorbits.roots import build_root_system
+from weylorbits.weyl import (
+    CapExceededError,
+    from_word,
+    simple_reflection,
+    weyl_group,
+)
+
+from oracles import bruhat_leq_subword
+
+# every group of order <= 1152 with its order
+ORDERS = {
+    ("A", 1): 2,
+    ("A", 2): 6,
+    ("A", 3): 24,
+    ("A", 4): 120,
+    ("B", 2): 8,
+    ("B", 3): 48,
+    ("B", 4): 384,
+    ("C", 3): 48,
+    ("D", 4): 192,
+    ("G", 2): 12,
+    ("F", 4): 1152,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORDERS), ids=lambda p: f"{p[0]}{p[1]}")
+def group(request):
+    return weyl_group(build_root_system(*request.param))
+
+
+def test_group_order(group):
+    rs = group.system
+    assert len(group) == len(group.elements) == ORDERS[(rs.family, rs.rank)]
+    assert [group.index[w.x] for w in group.elements] == list(range(len(group)))
+
+
+def test_lengths_count_inverted_positive_roots(group):
+    rs = group.system
+    for k, w in enumerate(group.elements):
+        inverted = sum(1 for beta in rs.positive_roots if not rs.is_positive(w.apply(beta)))
+        assert group.lengths[k] == inverted
+    assert group.lengths == sorted(group.lengths)  # breadth-first
+
+
+def test_right_multiplication_and_descents(group):
+    gens = [simple_reflection(group.system, i + 1) for i in range(group.system.rank)]
+    for k, w in enumerate(group.elements):
+        assert [group.elements[j] for j in group.right_mul[k]] == [w * s for s in gens]
+        assert [i + 1 for i in range(len(gens)) if group.descents[k] >> i & 1] == w.right_descents()
+
+
+def test_inverse_is_a_length_preserving_involution(group):
+    inverse = group.inverse
+    for k, w in enumerate(group.elements):
+        assert inverse[inverse[k]] == k
+        assert group.lengths[inverse[k]] == group.lengths[k]
+        assert group.elements[inverse[k]] == w.inv()
+        assert (w * group.elements[inverse[k]]).is_identity()
+
+
+def test_words_are_lex_min_reduced_words(group):
+    rs = group.system
+    for k, w in enumerate(group.elements):
+        word = group.words[k]
+        assert from_word(rs, word) == w
+        assert len(word) == group.lengths[k]
+        # lex-min: every letter is the smallest left descent of the suffix it starts
+        for j in range(len(word)):
+            suffix = from_word(rs, word[j:])
+            assert word[j] == min(suffix.inv().right_descents())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("B", 3), ("A", 4)]).flatmap(
+        lambda fr: st.tuples(
+            st.just(fr),
+            st.lists(st.integers(1, fr[1]), max_size=14),
+            st.lists(st.integers(1, fr[1]), max_size=14),
+        )
+    )
+)
+def test_bruhat_random_words_against_subword_oracle(data):
+    (family, rank), left, right = data
+    rs = build_root_system(family, rank)
+    u, w = from_word(rs, left), from_word(rs, right)
+    assert weyl_group(rs).bruhat_leq(u, w) == bruhat_leq_subword(u, w)
+
+
+def test_one_system_and_group_per_process():
+    assert build_root_system("a", 4) is build_root_system("A", 4)
+    assert type_a_datum(5, 2).group is type_a_datum(5, 1).group
+    assert type_a_datum(5, 2).group is weyl_group(build_root_system("A", 4))
+
+
+def test_cap_holds_for_cached_group():
+    rs = build_root_system("B", 3)
+    group = weyl_group(rs)
+    assert weyl_group(rs, cap=48) is group
+    with pytest.raises(CapExceededError, match=r"^enumeration cap exceeded; partial size 47$"):
+        weyl_group(rs, cap=47)
+    assert weyl_group(rs) is group
+
+
+def test_cap_on_first_build():
+    rs = build_root_system("D", 5)
+    rs.__dict__.pop("_weyl_group", None)
+    with pytest.raises(CapExceededError, match=r"partial size 100$") as info:
+        weyl_group(rs, cap=100)
+    assert info.value.partial_size == 100
+    assert getattr(rs, "_weyl_group", None) is None
+    assert len(weyl_group(rs)) == 1920
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_classification_never_enumerates(rank):
+    rs = build_root_system("E", rank)
+    # the highest root is orthogonal to these three simple roots in E7 and E8
+    thetas = [rs.highest_root, rs.simple_root(2), rs.simple_root(3), rs.simple_root(5)]
+    report = classify(orthogonal_set(rs, thetas))
+    levi_and_involution(report.reduced_set)
+    assert getattr(rs, "_weyl_group", None) is None
