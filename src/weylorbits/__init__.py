@@ -20,7 +20,6 @@ from .weyl import (
     from_word,
     identity,
     parabolic_decompose,
-    reduced_word,
     reflection,
     right_weak_leq,
     simple_reflection,

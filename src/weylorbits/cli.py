@@ -63,11 +63,18 @@ def _parse_nr(text: str) -> Tuple[int, int]:
 
 
 def _build_system(family: str, rank: int) -> RootSystem:
-    """The root system, with the WEYLORBITS_CAP group-size limit applied."""
     try:
-        system = build_root_system(family, rank)
+        return build_root_system(family, rank)
     except InvalidRankError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _enumerate_capped(system: RootSystem) -> None:
+    """Enumerate the Weyl group under the WEYLORBITS_CAP size limit, if set.
+
+    Only commands that enumerate the group call this; classify and cascade
+    work on roots and keys alone.
+    """
     cap = os.environ.get("WEYLORBITS_CAP")
     if cap is not None:
         try:
@@ -77,11 +84,11 @@ def _build_system(family: str, rank: int) -> RootSystem:
         if limit < 1:
             raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
         weyl_group(system, cap=limit)
-    return system
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
     system = _build_system(args.type, args.rank)
+    _enumerate_capped(system)
     I = _parse_ints(args.I) if args.I else []
     J = _parse_ints(args.J) if args.J else []
     K = _parse_ints(args.K) if args.K else []
@@ -256,7 +263,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     if 2 * r > n or r < 0:
         raise UsageError("need 0 <= 2r <= n")
     if r:
-        _build_system("A", n - 1)  # the group orbit_pair_params enumerates
+        _enumerate_capped(_build_system("A", n - 1))  # orbit_pair_params enumerates it
     params = lp.orbit_pair_params(n, r)
     rows = []
     for (w1inv, w2inv), line, zdim in params:

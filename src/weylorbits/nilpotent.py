@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .roots import Coords, Coweight, RootSystem
 from .weyl import WeylElement, identity, reflection
@@ -46,6 +47,21 @@ class OrthogonalSet:
             h = h + self.system.coroot(t)
         return h
 
+    @cached_property
+    def offenders(self) -> Tuple[CaseLabel, ...]:
+        """The roots of span_Q(thetas) other than the +-theta_i, each with its
+        coefficients and case label: one scan of the root system, made on
+        first use and kept on the set."""
+        rs = self.system
+        pm = set(self.thetas) | {tuple(-x for x in t) for t in self.thetas}
+        out = []
+        for gamma in rs.roots:
+            if gamma not in pm:
+                coeffs = rs.span_membership(self.thetas, gamma)
+                if coeffs is not None:
+                    out.append(_label(self, gamma, coeffs))
+        return tuple(out)
+
 
 def orthogonal_set(system: RootSystem, thetas: Sequence[Sequence[int]]) -> OrthogonalSet:
     return OrthogonalSet(system, tuple(tuple(t) for t in thetas))
@@ -73,16 +89,7 @@ def offending_roots(
     oset: OrthogonalSet,
 ) -> List[Tuple[Coords, Tuple[Fraction, ...]]]:
     """Roots of span_Q(thetas) other than the +-theta_i, with coefficients."""
-    rs = oset.system
-    out = []
-    pm = set(oset.thetas) | {tuple(-x for x in t) for t in oset.thetas}
-    for gamma in rs.roots:
-        if gamma in pm:
-            continue
-        coeffs = rs.span_membership(oset.thetas, gamma)
-        if coeffs is not None:
-            out.append((gamma, coeffs))
-    return out
+    return [(o.beta, o.coefficients) for o in oset.offenders]
 
 
 def is_rationally_orthogonal(
@@ -94,7 +101,8 @@ def is_rationally_orthogonal(
 
 
 def _is_long(system: RootSystem, v: Coords) -> bool:
-    return system.form(v, v) == max(system.form(r, r) for r in system.positive_roots)
+    # the highest root of an irreducible system is long
+    return system.form(v, v) == system.form(system.highest_root, system.highest_root)
 
 
 def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
@@ -104,10 +112,14 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     support, once by the generalized Cartan matrix on the support together
     with -beta (an affine diagram); the two labels must agree.
     """
-    rs = oset.system
-    coeffs = rs.span_membership(oset.thetas, beta)
+    coeffs = oset.system.span_membership(oset.thetas, beta)
     if coeffs is None:
         raise ValueError("beta is not in the span of the set")
+    return _label(oset, beta, coeffs)
+
+
+def _label(oset: OrthogonalSet, beta: Coords, coeffs: Tuple[Fraction, ...]) -> CaseLabel:
+    rs = oset.system
     support = [(t, q) for t, q in zip(oset.thetas, coeffs) if q != 0]
     if not support:
         raise ValueError("beta is zero")
@@ -196,6 +208,8 @@ def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
                     break
             if changed:
                 break
+    if len(thetas) == oset.r:
+        return oset
     return OrthogonalSet(rs, tuple(thetas))
 
 
@@ -206,63 +220,31 @@ def height_of_sum(oset: OrthogonalSet) -> int:
     reduced = reduce_b2long(oset)
     if reduced.r == 0:
         return 0
-    for gamma, coeffs in offending_roots(reduced):
-        if all(q.denominator == 1 for q in coeffs):
+    for o in reduced.offenders:
+        if all(q.denominator == 1 for q in o.coefficients):
             raise AssertionError(
-                f"integral combination {gamma} survives the reduction"
+                f"integral combination {o.beta} survives the reduction"
             )
     h = reduced.coroot_sum()
     h_dom, _ = rs.dominantize(h)
     return rs.coweight_value(h_dom, rs.highest_root)
 
 
-def _subset_has_case(oset: OrthogonalSet, indices: Sequence[int], case: str) -> bool:
-    sub = OrthogonalSet(oset.system, tuple(oset.thetas[i] for i in indices))
-    for gamma, coeffs in offending_roots(sub):
-        if all(q != 0 for q in coeffs):
-            if classify_combination(sub, gamma).case == case:
-                return True
-    return False
+def _case_supports(oset: OrthogonalSet, case: str) -> List[Tuple[int, ...]]:
+    """The distinct supports {i : q_i != 0} of the offenders labelled `case`,
+    in lexicographic order.
 
-
-def _has_d4_quadruple(oset: OrthogonalSet) -> bool:
-    from itertools import combinations
-
-    return any(
-        _subset_has_case(oset, idx, "D4") for idx in combinations(range(oset.r), 4)
-    )
-
-
-def _b2short_pairs(oset: OrthogonalSet) -> List[Tuple[int, int]]:
-    from itertools import combinations
-
-    return [
-        idx for idx in combinations(range(oset.r), 2) if _subset_has_case(oset, idx, "B2short")
-    ]
-
-
-def _has_b3_triple(oset: OrthogonalSet) -> bool:
-    from itertools import combinations
-
-    return any(
-        _subset_has_case(oset, idx, "B3") for idx in combinations(range(oset.r), 3)
-    )
-
-
-def _has_disjoint_b2short_pairs(oset: OrthogonalSet) -> bool:
-    pairs = _b2short_pairs(oset)
-    return any(
-        not set(a) & set(b)
-        for i, a in enumerate(pairs)
-        for b in pairs[i + 1 :]
-    )
-
-
-def _has_g2both_pair(oset: OrthogonalSet) -> bool:
-    from itertools import combinations
-
-    return any(
-        _subset_has_case(oset, idx, "G2both") for idx in combinations(range(oset.r), 2)
+    A sub-set theta_S has an offender with full support and this case exactly
+    when S is listed: span(theta_S) lies in span(theta), none of its roots is
+    +-theta_j for j outside S, and the coefficients are orthogonal
+    projections, which do not depend on the other members of the set.
+    """
+    return sorted(
+        {
+            tuple(i for i, q in enumerate(o.coefficients) if q)
+            for o in oset.offenders
+            if o.case == case
+        }
     )
 
 
@@ -285,11 +267,14 @@ def is_spherical(oset: OrthogonalSet) -> SphericalVerdict:
     if family in ("A", "C"):
         non_spherical = False
     elif family in ("D", "E"):
-        non_spherical = _has_d4_quadruple(oset)
+        non_spherical = bool(_case_supports(oset, "D4"))
     elif family in ("B", "F"):
-        non_spherical = _has_b3_triple(oset) or _has_disjoint_b2short_pairs(oset)
+        pairs = _case_supports(oset, "B2short")
+        non_spherical = bool(_case_supports(oset, "B3")) or any(
+            not set(a) & set(b) for i, a in enumerate(pairs) for b in pairs[i + 1 :]
+        )
     else:  # G2
-        non_spherical = _has_g2both_pair(oset)
+        non_spherical = bool(_case_supports(oset, "G2both"))
     by_pattern = not non_spherical
     if by_height != by_pattern:
         raise AssertionError(
@@ -313,7 +298,7 @@ def type_b_height(oset: OrthogonalSet) -> int:
         return 0
     longs = sum(1 for t in oset.thetas if _is_long(oset.system, t))
     shorts = r - longs
-    pairs = len(_b2short_pairs(oset))
+    pairs = len(_case_supports(oset, "B2short"))
     if shorts == r:
         return 2
     if longs == r and (r == 2 or pairs == 0):
@@ -338,22 +323,19 @@ class CascadeNode:
     children: List["CascadeNode"] = field(default_factory=list)
 
 
-def _components(system: RootSystem, roots: List[Coords]) -> List[List[Coords]]:
-    """Connected components of a root subset under the nonzero-form relation."""
-    remaining = list(roots)
+def _components(items: Sequence, adjacent: Callable[..., bool]) -> List[list]:
+    """Connected components under a symmetric adjacency predicate, each
+    sorted, ordered by their smallest member."""
+    remaining = sorted(items)
     comps = []
     while remaining:
-        comp = [remaining.pop()]
-        grew = True
-        while grew:
-            grew = False
-            for v in list(remaining):
-                if any(system.form(v, c) != 0 for c in comp):
-                    comp.append(v)
-                    remaining.remove(v)
-                    grew = True
+        comp = [remaining.pop(0)]
+        for c in comp:  # comp grows while it is walked
+            near = [v for v in remaining if adjacent(c, v)]
+            remaining = [v for v in remaining if v not in near]
+            comp.extend(near)
         comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
+    return comps
 
 
 def _component_highest(system: RootSystem, comp: List[Coords]) -> Coords:
@@ -380,7 +362,7 @@ def chain_cascade(system: RootSystem, max_depth: Optional[int] = None) -> Cascad
         node = CascadeNode(chain, h, h_dom)
         if max_depth is not None and depth >= max_depth:
             return node
-        for comp in _components(system, pool):
+        for comp in _components(pool, lambda a, b: system.form(a, b) != 0):
             theta = _component_highest(system, comp)
             sub = [v for v in comp if system.form(v, theta) == 0]
             node.children.append(grow(chain + (theta,), sub, depth + 1))
@@ -493,24 +475,6 @@ def _arm_lengths(n: int, edges: List[Tuple[int, int, int]], branch: int) -> List
     return arms
 
 
-def _diagram_components(system: RootSystem, indices: Sequence[int]) -> List[List[int]]:
-    idx = sorted(indices)
-    remaining = list(idx)
-    comps = []
-    while remaining:
-        comp = [remaining.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for j in list(remaining):
-                if any(system.cartan[i - 1][j - 1] != 0 for i in comp):
-                    comp.append(j)
-                    remaining.remove(j)
-                    grew = True
-        comps.append(sorted(comp))
-    return comps
-
-
 def involution_element(oset: OrthogonalSet) -> WeylElement:
     """w = s_{theta_1} ... s_{theta_r}; on the span's orthogonal complement it
     acts trivially, so the order of the factors does not matter."""
@@ -570,7 +534,7 @@ def _folded_type(
     for i, j in swaps:
         partner[i] = j
         partner[j] = i
-    comps = _diagram_components(rs, levi)
+    comps = _components(levi, lambda i, j: rs.cartan[i - 1][j - 1] != 0)
     comp_of = {i: c for c, comp in enumerate(comps) for i in comp}
     types = []
     merged: Set[int] = set()
@@ -605,11 +569,10 @@ class ClassificationReport:
 
 def classify(oset: OrthogonalSet) -> ClassificationReport:
     """Full report for an orthogonal set."""
-    rat, offenders = is_rationally_orthogonal(oset)
+    rat, _ = is_rationally_orthogonal(oset)
     cases = []
     seen = set()
-    for gamma, _ in sorted(offenders, key=lambda o: not oset.system.is_positive(o[0])):
-        label = classify_combination(oset, gamma)
+    for label in sorted(oset.offenders, key=lambda o: not oset.system.is_positive(o.beta)):
         if label.case not in seen:
             seen.add(label.case)
             cases.append(label)

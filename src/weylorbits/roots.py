@@ -323,25 +323,13 @@ class RootSystem:
     ) -> Optional[Tuple[Fraction, ...]]:
         """Coefficients (q_i) with gamma = sum q_i beta_i, or None if outside the span.
 
-        Raises ValueError if the input set is linearly dependent. For pairwise
-        orthogonal sets the coefficients are the exact projections
-        (gamma, beta_i)/(beta_i, beta_i).
+        The roots must be pairwise orthogonal (ValueError otherwise); the
+        coefficients are the exact projections (gamma, beta_i)/(beta_i, beta_i).
         """
         k = len(roots)
-        if k == 0:
-            return None if any(gamma) else ()
-        orthogonal = all(
-            self.form(roots[i], roots[j]) == 0 for i in range(k) for j in range(i + 1, k)
-        )
-        if orthogonal:
-            coeffs = tuple(
-                Fraction(self.form(gamma, b), self.form(b, b)) for b in roots
-            )
-        else:
-            coeffs = _solve_least(roots, gamma, self.rank)
-            if coeffs is None:
-                # inconsistent system: gamma outside the span
-                return None
+        if any(self.form(roots[i], roots[j]) for i in range(k) for j in range(i + 1, k)):
+            raise ValueError("input roots are not pairwise orthogonal")
+        coeffs = tuple(Fraction(self.form(gamma, b), self.form(b, b)) for b in roots)
         recon = [Fraction(0)] * self.rank
         for q, b in zip(coeffs, roots):
             for j, x in enumerate(b):
@@ -366,41 +354,6 @@ def _solve_square(aug: List[List[Fraction]]) -> Optional[List[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
-
-
-def _solve_least(
-    roots: Sequence[Coords], gamma: Coords, dim: int
-) -> Optional[Tuple[Fraction, ...]]:
-    """Solve B q = gamma where B has the roots as columns; None if inconsistent."""
-    k = len(roots)
-    aug = [
-        [Fraction(roots[j][i]) for j in range(k)] + [Fraction(gamma[i])]
-        for i in range(dim)
-    ]
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((r for r in range(row, dim) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(dim):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < k:
-        raise ValueError("input roots are linearly dependent")
-    for r in range(row, dim):
-        if aug[r][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][k]
-    return tuple(sol)
 
 
 # One RootSystem per (family, rank) and process; its Weyl group is cached on it.

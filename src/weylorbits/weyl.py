@@ -173,10 +173,6 @@ def from_word(system: RootSystem, word: Sequence[int]) -> WeylElement:
     return WeylElement(system, x)
 
 
-def reduced_word(w: WeylElement) -> Tuple[int, ...]:
-    return w.reduced_word()
-
-
 def right_weak_leq(v: WeylElement, w: WeylElement) -> bool:
     """v <=_R w iff l(w) = l(w v^{-1}) + l(v)."""
     return w.length() == (w * v.inv()).length() + v.length()

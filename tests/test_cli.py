@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -259,3 +260,27 @@ def test_orbits_honours_cap(capsys, monkeypatch):
     monkeypatch.setenv("WEYLORBITS_CAP", "24")
     code, _, _ = run(capsys, "orbits", "--n", "4", "--r", "2")
     assert code == 0
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("classify-5-G2.text", ("classify", "--type", "G", "--rank", "2", "3 2", "1 0")),
+        ("cascade-E7.text", ("cascade", "--type", "E", "--rank", "7")),
+    ],
+)
+def test_cap_ignored_by_commands_that_do_not_enumerate(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv("WEYLORBITS_CAP", "10")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "banana"])
+def test_bad_cap_is_a_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("WEYLORBITS_CAP", cap)
+    _assert_usage_error(capsys, "poset", *FIG_ARGS)

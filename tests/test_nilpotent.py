@@ -3,7 +3,10 @@ from itertools import combinations
 import pytest
 
 from weylorbits.nilpotent import (
+    CASES,
     CascadeNode,
+    OrthogonalSet,
+    _case_supports,
     cascade_chains,
     chain_cascade,
     classify,
@@ -15,12 +18,13 @@ from weylorbits.nilpotent import (
     is_spherical,
     is_strongly_orthogonal,
     levi_and_involution,
+    offending_roots,
     orthogonal_set,
     reduce_b2long,
     type_b_height,
     weighted_dynkin,
 )
-from weylorbits.roots import Coweight, build_root_system
+from weylorbits.roots import Coweight, RootSystem, build_root_system
 from weylorbits.weyl import from_word, reflection
 
 from oracles import stabilizer_dimension
@@ -407,3 +411,46 @@ def test_classify_report(b3):
     assert {c.case for c in report.cases} <= {"B3", "B2short", "B2long"}
     assert report.orbit_type_rank == report.reduced_set.r
     assert report.dynkin_labels == report.h_dominant.coords
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2), ("B", 4), ("C", 4)])
+def test_case_supports_match_subset_scans(family, rank):
+    # _case_supports reads one scan of the whole set; the reference scans
+    # every sub-set theta_S for an offender with full support
+    rs = build_root_system(family, rank)
+    for subset in orthogonal_subsets(rs, 4):
+        oset = orthogonal_set(rs, subset)
+        cases_of = {}
+        for k in range(1, len(subset) + 1):
+            for idx in combinations(range(len(subset)), k):
+                sub = OrthogonalSet(rs, tuple(subset[i] for i in idx))
+                cases_of[idx] = {
+                    classify_combination(sub, gamma).case
+                    for gamma, coeffs in offending_roots(sub)
+                    if all(q != 0 for q in coeffs)
+                }
+        for case in CASES:
+            expected = sorted(idx for idx, cases in cases_of.items() if case in cases)
+            assert _case_supports(oset, case) == expected
+
+
+def test_classify_scans_each_set_once(monkeypatch):
+    calls = []
+    span_membership = RootSystem.span_membership
+
+    def counting(self, roots, gamma):
+        calls.append(tuple(roots))
+        return span_membership(self, roots, gamma)
+
+    monkeypatch.setattr(RootSystem, "span_membership", counting)
+    data = _rem_5cases_data()
+    # nothing to reduce: one scan of the set
+    for system, thetas, _, case, _ in data[:2] + data[4:]:
+        calls.clear()
+        classify(orthogonal_set(system, thetas))
+        assert calls == [thetas] * (len(system.roots) - 2 * len(thetas)), case
+    # the B2-long reduction drops a root: one more scan, of the reduced set
+    b2, thetas = data[3][0], data[3][1]
+    calls.clear()
+    classify(orthogonal_set(b2, thetas))
+    assert calls == [thetas] * (len(b2.roots) - 4) + [thetas[:1]] * (len(b2.roots) - 2)

@@ -1,6 +1,9 @@
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylorbits.quotient import (
     IJKDatum,
@@ -252,3 +255,35 @@ def test_lem_product_spot(a3):
             xy = x * y
             for xp in below_x:
                 assert any(g.bruhat_leq(xp * yp, xy) for yp in below_y)
+
+
+# (family, rank, I, J, K): the acceptance-gate data
+QUOTIENT_DATA = (
+    ("A", 3, (1,), (3,), ()),
+    ("A", 5, (1,), (5,), (3,)),
+    ("B", 4, (1,), (3,), ()),
+    ("D", 4, (1,), (3,), ()),
+)
+
+
+@lru_cache(maxsize=None)
+def _datum(family, rank, I, J, K):
+    return IJKDatum(build_root_system(family, rank), I, J, K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(QUOTIENT_DATA).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.integers(1, d[1]), max_size=12),
+            st.lists(st.integers(1, d[1]), max_size=12),
+        )
+    )
+)
+def test_leq_O_random_words_against_full_coset(data):
+    key, left, right = data
+    datum = _datum(*key)
+    wp = datum.canonical_rep(from_word(datum.system, left))
+    w = datum.canonical_rep(from_word(datum.system, right))
+    assert leq_O(wp, w) == leq_O_full_coset(wp, w)

@@ -165,6 +165,13 @@ def test_span_membership_dependent():
         a3.span_membership([a1, tuple(-x for x in a1)], a3.simple_root(2))
 
 
+def test_span_membership_rejects_non_orthogonal():
+    # alpha_1, alpha_2 are independent but not orthogonal: no general solver
+    a3 = build_root_system("A", 3)
+    with pytest.raises(ValueError, match="not pairwise orthogonal"):
+        a3.span_membership([a3.simple_root(1), a3.simple_root(2)], (1, 1, 0))
+
+
 def test_highest_root_property():
     for family, rank in [("A", 4), ("B", 4), ("C", 3), ("D", 5), ("E", 6)]:
         rs = build_root_system(family, rank)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylorbits.roots import build_root_system
 from weylorbits.weyl import (
@@ -192,3 +194,20 @@ def test_action_permutes_roots(a3, ga3):
     for w in ga3.elements[:12]:
         images = {w.apply(r) for r in a3.roots}
         assert images == set(a3.roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(1, n + 1)),
+            st.lists(st.integers(1, n - 1), max_size=20),
+        )
+    )
+)
+def test_line_notation_round_trip(data):
+    perm, word = data
+    rs = build_root_system("A", len(perm) - 1)
+    assert to_line_notation(from_line_notation(rs, perm)) == tuple(perm)
+    w = from_word(rs, word)
+    assert from_line_notation(rs, to_line_notation(w)) == w
