@@ -50,6 +50,8 @@ def cases():
     for n in range(1, 7):
         for r in range(n // 2 + 1):
             out.append((f"orbits-n{n}-r{r}.text", ["orbits", "--n", str(n), "--r", str(r)]))
+    for r in (2, 3):
+        out.append((f"orbits-n7-r{r}.text", ["orbits", "--n", "7", "--r", str(r)]))
     for rank in (7, 8):
         out.append((f"cascade-E{rank}.text", ["cascade", "--type", "E", "--rank", str(rank)]))
     for k, (f, r, roots) in enumerate(CLASSIFY):
