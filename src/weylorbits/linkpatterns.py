@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .roots import build_root_system
@@ -106,18 +105,11 @@ def matrix_from_olp(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
     for s, t in d.arrows:
         m[t - 1][s - 1] = 1
     mat = tuple(tuple(row) for row in m)
-    if not _is_square_zero(mat):
+    rows = _column_rows(mat)
+    # M^2 eps_c = M eps_row(c): M^2 = 0 iff column row(c) is zero for each nonzero column c
+    if any(rows[row - 1] for row in rows if row):
         raise AssertionError("pattern matrix does not square to zero")
     return mat
-
-
-def _is_square_zero(m: Tuple[Tuple[int, ...], ...]) -> bool:
-    n = len(m)
-    return all(
-        sum(m[i][k] * m[k][j] for k in range(n)) == 0
-        for i in range(n)
-        for j in range(n)
-    )
 
 
 # -- statistics ----------------------------------------------------------
@@ -150,9 +142,17 @@ def q_stat_linear_algebra(d: OrientedLinkPattern, k: int, ell: int) -> int:
 
 @lru_cache(maxsize=None)
 def q_table(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(
-        tuple(q_stat(d, k, ell) for ell in range(1, d.n + 1)) for k in range(d.n + 1)
-    )
+    """Rows k = 0..n of q_{k,ell}, ell = 1..n, from prefix counts: row 0 is
+    p_ell, the vertices <= ell that are not sources, and row k adds the arrow
+    with target k, if any, to every ell from its source on."""
+    source_of = {t: s for s, t in d.arrows}
+    row = list(accumulate(int(v not in source_of.values()) for v in range(1, d.n + 1)))
+    table = [tuple(row)]
+    for k in range(1, d.n + 1):
+        for ell in range(source_of.get(k, d.n + 1) - 1, d.n):
+            row[ell] += 1
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def leq_D(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
@@ -165,43 +165,43 @@ def leq_D(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
     )
 
 
-def rank_stat(i: int, j: int, y: Sequence[Sequence[int]]) -> int:
-    """r(i,j,y) = dim(y(V_i) + V_j), exact rank over the rationals."""
+def _column_rows(y: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The row (1-based) of the 1 in each column of y, 0 for a zero column;
+    ValueError unless y is a square 0/1 matrix with at most one 1 in each row
+    and each column."""
     n = len(y)
-    cols = [[Fraction(y[row][col]) for row in range(n)] for col in range(i)]
-    cols += [
-        [Fraction(1 if row == col else 0) for row in range(n)] for col in range(j)
-    ]
-    return _rank(cols)
+    rows = [0] * n
+    for a, line in enumerate(y, 1):
+        ones = [c for c, v in enumerate(line) if v]
+        if len(line) != n or len(ones) > 1 or any(line[c] != 1 or rows[c] for c in ones):
+            raise ValueError("not a partial permutation matrix")
+        for c in ones:
+            rows[c] = a
+    return tuple(rows)
 
 
-def _rank(cols: List[List[Fraction]]) -> int:
-    if not cols:
-        return 0
-    n = len(cols[0])
-    mat = [list(col) for col in cols]
-    rank = 0
-    for piv_row in range(n):
-        piv = next((c for c in range(rank, len(mat)) if mat[c][piv_row] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        base = mat[rank]
-        f0 = base[piv_row]
-        for c in range(rank + 1, len(mat)):
-            if mat[c][piv_row] != 0:
-                f = mat[c][piv_row] / f0
-                mat[c] = [x - f * y_ for x, y_ in zip(mat[c], base)]
-        rank += 1
-    return rank
+def _rank_rows(rows: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """(r(i,j,y))_{j=0..n} for i = 0..n, from the column rows of y.
+
+    Distinct columns have distinct rows, so y(V_i) + V_j is V_j plus one new
+    eps_row for each column c <= i whose 1 lies in a row > j.
+    """
+    out = [tuple(range(len(rows) + 1))]
+    for row in rows:
+        out.append(tuple(r + (j < row) for j, r in enumerate(out[-1])))
+    return out
+
+
+def rank_stat(i: int, j: int, y: Sequence[Sequence[int]]) -> int:
+    """r(i,j,y) = dim(y(V_i) + V_j) for a partial permutation matrix y."""
+    if not (0 <= i <= len(y) and 0 <= j <= len(y)):
+        raise IndexError("index out of range")
+    return _rank_rows(_column_rows(y))[i][j]
 
 
 @lru_cache(maxsize=None)
 def rank_table(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
-    y = matrix_from_olp(d)
-    return tuple(
-        tuple(rank_stat(i, j, y) for j in range(d.n + 1)) for i in range(1, d.n + 1)
-    )
+    return tuple(_rank_rows(_column_rows(matrix_from_olp(d)))[1:])
 
 
 def leq_rank(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
@@ -260,28 +260,22 @@ def leq_seq(wp: Sequence[int], w: Sequence[int], r: int) -> bool:
 
 def orbit_dimension(d: OrientedLinkPattern) -> int:
     """dim of the Borel orbit of M_d: dim b minus the dimension of the
-    centralizer of M_d in the upper-triangular matrices."""
+    centralizer of M_d in the upper-triangular matrices.
+
+    M_d is a partial permutation matrix, so each equation (x M - M x)[a][b] = 0
+    on the unknowns x[i][j], i <= j, reads x_u = x_v or x_u = 0. The classes
+    of unknowns joined by x_u = x_v have at most two members, and the free
+    ones are: x[i][j] for i <= j with i not a source and j not a target, and
+    x[s][s'] = x[t][t'] for arrows s -> t, s' -> t' with s <= s', t <= t'.
+    """
     n = d.n
-    m = matrix_from_olp(d)
-    # unknowns: x[i][j] for i <= j; constraints: (x m - m x)[a][b] = 0
-    vars_ = [(i, j) for i in range(n) for j in range(i, n)]
-    var_index = {v: c for c, v in enumerate(vars_)}
-    rows: List[List[Fraction]] = []
-    for a in range(n):
-        for b in range(n):
-            row = [Fraction(0)] * len(vars_)
-            # sum_k x[a][k] m[k][b] - m[a][k] x[k][b]
-            for k in range(a, n):
-                if m[k][b]:
-                    row[var_index[(a, k)]] += m[k][b]
-            for k in range(n):
-                if m[a][k] and k <= b:
-                    row[var_index[(k, b)]] -= m[a][k]
-            if any(row):
-                rows.append(row)
-    constraint_rank = _rank([list(col) for col in zip(*rows)]) if rows else 0
-    centralizer_dim = len(vars_) - constraint_rank
-    return n * (n + 1) // 2 - centralizer_dim
+    arrows = [(s, t) for s, t in enumerate(_column_rows(matrix_from_olp(d)), 1) if t]
+    sources, targets = {s for s, _ in arrows}, {t for _, t in arrows}
+    free = sum(
+        1 for i in range(1, n + 1) if i not in sources for j in range(i, n + 1) if j not in targets
+    )
+    pairs = sum(1 for s, t in arrows for s2, t2 in arrows if s <= s2 and t <= t2)
+    return n * (n + 1) // 2 - free - pairs
 
 
 def type_a_datum(n: int, r: int) -> IJKDatum:
@@ -305,15 +299,13 @@ def orbit_pair_params(
     """
     if 2 * r > n:
         raise ValueError("2r must not exceed n")
-    datum = type_a_datum(n, r) if r else None
     base = r * (r - 1) // 2 + (n - 2 * r) * (n - 2 * r - 1) // 2
-    out = []
-    if datum is None:
-        # r = 0: the quotient is all of S_n? no: W(I,J,K) with I=J=empty,
-        # K = {1..n-1}: a single coset; emit the identity row.
+    if r == 0:
+        # I = J = {} and K = {1..n-1}: a single coset, the identity row
         line = tuple(range(1, n + 1))
         return [((line, line), line, base)]
-    for node in datum.quotient_elements():
+    out = []
+    for node in type_a_datum(n, r).quotient_elements():
         w1, w2 = node.w1, node.w2
         dim = w1.length() + w2.length() + base
         out.append(

@@ -9,8 +9,11 @@ short simple root last and C_n the long simple root last.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Coords = Tuple[int, ...]
@@ -163,6 +166,8 @@ class RootSystem:
         self.rank = datum.rank
         self.cartan = datum.cartan
         self.symm = datum.symm
+        # B = D A, the symmetrized Cartan matrix: (u, v) = u . B v
+        self.gram = tuple(tuple(d * a for a in row) for d, row in zip(self.symm, self.cartan))
         # bonds[i]: the (j, a_ij) with j != i and a_ij != 0, 0-based
         self.bonds: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
             tuple((j, a) for j, a in enumerate(row) if a and j != i)
@@ -174,6 +179,7 @@ class RootSystem:
             r for r in self.roots if self.is_positive(r)
         )
         self.highest_root: Coords = self._highest()
+        self._span_memo: Optional[tuple] = None  # see span_membership
 
     # -- construction -----------------------------------------------------
 
@@ -230,13 +236,7 @@ class RootSystem:
 
     def form(self, u: Coords, v: Coords) -> int:
         """(u, v) with (alpha_i, alpha_j) = d_i * a_ij; integer on the root lattice."""
-        total = 0
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.cartan[i]
-                di = self.symm[i]
-                total += ui * di * sum(row[j] * v[j] for j in range(self.rank) if v[j])
-        return total
+        return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.gram) if ui)
 
     def pairing(self, a: Coords, b: Coords) -> int:
         """<a, b^vee> = 2(a,b)/(b,b) for b a root."""
@@ -262,10 +262,6 @@ class RootSystem:
     def coroot(self, b: Coords) -> Coweight:
         """b^vee as a coweight: value on alpha_i is <alpha_i, b^vee>."""
         return Coweight(tuple(self.pairing(self.simple_root(i + 1), b) for i in range(self.rank)))
-
-    def fundamental_coweight(self, i: int) -> Coweight:
-        """varpi_i^vee, 1-based: value 1 on alpha_i, 0 on the others."""
-        return Coweight(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
 
     def coweight_value(self, h: Coweight, v: Coords) -> int:
         """Value of h on a root-lattice element v."""
@@ -325,18 +321,30 @@ class RootSystem:
 
         The roots must be pairwise orthogonal (ValueError otherwise); the
         coefficients are the exact projections (gamma, beta_i)/(beta_i, beta_i).
+        A scan passes the same roots for every gamma, so the last roots are kept
+        with B beta_i, their norms n_i and L = lcm(n_i): gamma is in the span
+        iff sum (gamma . B beta_i) (L / n_i) beta_i = L gamma, all in integers.
         """
-        k = len(roots)
-        if any(self.form(roots[i], roots[j]) for i in range(k) for j in range(i + 1, k)):
-            raise ValueError("input roots are not pairwise orthogonal")
-        coeffs = tuple(Fraction(self.form(gamma, b), self.form(b, b)) for b in roots)
-        recon = [Fraction(0)] * self.rank
-        for q, b in zip(coeffs, roots):
-            for j, x in enumerate(b):
-                recon[j] += q * x
-        if any(recon[j] != gamma[j] for j in range(self.rank)):
+        key = tuple(map(tuple, roots))
+        memo = self._span_memo
+        if memo is None or memo[0] != key:
+            if any(self.form(a, b) for a, b in combinations(key, 2)):
+                raise ValueError("input roots are not pairwise orthogonal")
+            forms = [tuple(sum(map(mul, row, b)) for row in self.gram) for b in key]
+            norms = [sum(map(mul, b, f)) for b, f in zip(key, forms)]
+            lcm = math.lcm(*norms)
+            scaled = [tuple(lcm // m * x for x in b) for b, m in zip(key, norms)]
+            memo = self._span_memo = (key, forms, norms, scaled, lcm)
+        _, forms, norms, scaled, lcm = memo
+        proj = [sum(map(mul, gamma, f)) for f in forms]
+        if not any(proj) and any(gamma):
+            return None  # orthogonal to the span and not zero
+        rest = [lcm * g for g in gamma]  # L gamma - sum p_i (L / n_i) beta_i
+        for p, b in zip(proj, scaled):
+            rest = [r - p * x for r, x in zip(rest, b)]
+        if any(rest):
             return None
-        return coeffs
+        return tuple(Fraction(p, m) for p, m in zip(proj, norms))
 
 
 def _solve_square(aug: List[List[Fraction]]) -> Optional[List[Fraction]]:

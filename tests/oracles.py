@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from weylorbits.linkpatterns import OrientedLinkPattern, matrix_from_olp
 from weylorbits.quotient import IJKDatum, QuotientElement
+from weylorbits.roots import Coords, RootSystem
 from weylorbits.weyl import WeylElement, from_word
 
 
@@ -60,3 +63,72 @@ def stabilizer_dimension(partition: Sequence[int]) -> int:
         return 0
     conj = [sum(1 for p in partition if p > i) for i in range(max(partition))]
     return sum(c * c for c in conj)
+
+
+def _rational_rank(cols: List[List[Fraction]]) -> int:
+    """Rank of a list of column vectors by Fraction Gaussian elimination."""
+    if not cols:
+        return 0
+    n = len(cols[0])
+    mat = [list(col) for col in cols]
+    rank = 0
+    for piv_row in range(n):
+        piv = next((c for c in range(rank, len(mat)) if mat[c][piv_row] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        base = mat[rank]
+        f0 = base[piv_row]
+        for c in range(rank + 1, len(mat)):
+            if mat[c][piv_row] != 0:
+                f = mat[c][piv_row] / f0
+                mat[c] = [x - f * y_ for x, y_ in zip(mat[c], base)]
+        rank += 1
+    return rank
+
+
+def rational_rank_stat(i: int, j: int, y: Sequence[Sequence[int]]) -> int:
+    """r(i,j,y) = dim(y(V_i) + V_j) as the rank of the columns y(eps_1..eps_i)
+    and eps_1..eps_j, for any square matrix y."""
+    n = len(y)
+    cols = [[Fraction(y[row][col]) for row in range(n)] for col in range(i)]
+    cols += [
+        [Fraction(1 if row == col else 0) for row in range(n)] for col in range(j)
+    ]
+    return _rational_rank(cols)
+
+
+def centralizer_orbit_dimension(d: OrientedLinkPattern) -> int:
+    """dim b minus the rank-nullity dimension of the upper-triangular
+    centralizer of M_d, from the full constraint matrix of x M - M x = 0."""
+    n = d.n
+    m = matrix_from_olp(d)
+    vars_ = [(i, j) for i in range(n) for j in range(i, n)]
+    var_index = {v: c for c, v in enumerate(vars_)}
+    rows: List[List[Fraction]] = []
+    for a in range(n):
+        for b in range(n):
+            row = [Fraction(0)] * len(vars_)
+            # sum_k x[a][k] m[k][b] - m[a][k] x[k][b]
+            for k in range(a, n):
+                if m[k][b]:
+                    row[var_index[(a, k)]] += m[k][b]
+            for k in range(n):
+                if m[a][k] and k <= b:
+                    row[var_index[(k, b)]] -= m[a][k]
+            if any(row):
+                rows.append(row)
+    constraint_rank = _rational_rank([list(col) for col in zip(*rows)]) if rows else 0
+    centralizer_dim = len(vars_) - constraint_rank
+    return n * (n + 1) // 2 - centralizer_dim
+
+
+def projection_span_membership(
+    system: RootSystem, roots: Sequence[Coords], gamma: Coords
+) -> Optional[Tuple[Fraction, ...]]:
+    """gamma = sum q_i beta_i for pairwise orthogonal beta_i, with the
+    Fraction projections q_i = (gamma, beta_i)/(beta_i, beta_i); None when
+    the projections do not reconstruct gamma."""
+    coeffs = tuple(Fraction(system.form(gamma, b), system.form(b, b)) for b in roots)
+    recon = [sum(q * b[j] for q, b in zip(coeffs, roots)) for j in range(system.rank)]
+    return coeffs if recon == list(gamma) else None

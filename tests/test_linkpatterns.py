@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylorbits.linkpatterns import (
     all_patterns,
@@ -19,13 +21,14 @@ from weylorbits.linkpatterns import (
     q_stat_linear_algebra,
     q_table,
     rank_stat,
+    rank_table,
     seq_S,
     type_a_datum,
 )
 from weylorbits.quotient import leq_O
 from weylorbits.weyl import to_line_notation
 
-from oracles import covers_naive
+from oracles import centralizer_orbit_dimension, covers_naive, rational_rank_stat
 
 
 def test_pattern_validation():
@@ -101,6 +104,52 @@ def test_rank_stat_basics():
     assert rank_stat(4, 0, y) == 2
     assert rank_stat(0, 4, y) == 1 * 4
     assert rank_stat(2, 2, y) == 4  # images 3,4 independent of e1,e2
+
+
+def _check_kernels(d):
+    """The integer kernels against the Fraction oracles and q_stat."""
+    n = d.n
+    y = matrix_from_olp(d)
+    ranks = [[rational_rank_stat(i, j, y) for j in range(n + 1)] for i in range(n + 1)]
+    assert [[rank_stat(i, j, y) for j in range(n + 1)] for i in range(n + 1)] == ranks
+    assert rank_table(d) == tuple(map(tuple, ranks[1:]))
+    assert orbit_dimension(d) == centralizer_orbit_dimension(d)
+    assert q_table(d) == tuple(
+        tuple(q_stat(d, k, ell) for ell in range(1, n + 1)) for k in range(n + 1)
+    )
+
+
+def test_kernels_match_oracles_up_to_6():
+    for n in range(1, 7):
+        for r in range(n // 2 + 1):
+            for d in all_patterns(n, r):
+                _check_kernels(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(7, 9).flatmap(
+        lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(0, n // 2))
+    )
+)
+def test_kernels_match_oracles_random(case):
+    w, r = case
+    _check_kernels(olp_from_perm(w, r))
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        [[1, 1], [0, 0]],  # two 1s in a row
+        [[1, 0], [1, 0]],  # two 1s in a column
+        [[2, 0], [0, 0]],
+        [[0, -1], [0, 0]],
+        [[1, 0]],  # not square
+    ],
+)
+def test_rank_stat_rejects_non_partial_permutations(y):
+    with pytest.raises(ValueError, match="partial permutation"):
+        rank_stat(1, 0, y)
 
 
 @pytest.mark.parametrize("n,r", [(4, 2), (5, 2), (5, 1)])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,8 @@ from weylorbits.roots import (
     InvalidRankError,
     build_root_system,
 )
+
+from oracles import projection_span_membership
 
 ALL_SYSTEMS = (
     [("A", n) for n in range(1, 9)]
@@ -170,6 +173,47 @@ def test_span_membership_rejects_non_orthogonal():
     a3 = build_root_system("A", 3)
     with pytest.raises(ValueError, match="not pairwise orthogonal"):
         a3.span_membership([a3.simple_root(1), a3.simple_root(2)], (1, 1, 0))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_span_membership_matches_projection_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    pos = rs.positive_roots
+    osets = [
+        s
+        for k in range(1, 4)
+        for s in combinations(pos, k)
+        if all(rs.form(a, b) == 0 for a, b in combinations(s, 2))
+    ]
+    for thetas in osets:
+        for gamma in rs.roots + ((0,) * rank,):
+            assert rs.span_membership(thetas, gamma) == projection_span_membership(
+                rs, thetas, gamma
+            )
+
+
+def test_span_membership_checks_orthogonality_after_a_valid_call():
+    a3 = build_root_system("A", 3)
+    a1, a2, a3_ = (a3.simple_root(i) for i in (1, 2, 3))
+    assert a3.span_membership([a1, a3_], (1, 0, 1)) == (1, 1)
+    with pytest.raises(ValueError, match="not pairwise orthogonal"):
+        a3.span_membership([a1, a2], (1, 1, 0))
+    with pytest.raises(ValueError, match="not pairwise orthogonal"):
+        a3.span_membership([a1, a3_, a2], (1, 1, 0))
+
+
+def test_span_membership_memo_is_per_system():
+    # B3 and C3 share these coordinate tuples but not their forms: each pair
+    # is orthogonal in one system only
+    b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
+    for ok, bad, roots, gamma in (
+        (b3, c3, ((0, 0, 1), (1, 1, 1)), (1, 1, 2)),
+        (c3, b3, ((0, 1, 0), (0, 1, 1)), (0, 2, 1)),
+    ):
+        assert ok.span_membership(roots, gamma) == (1, 1)
+        with pytest.raises(ValueError, match="not pairwise orthogonal"):
+            bad.span_membership(roots, gamma)
+        assert ok.span_membership(roots, gamma) == (1, 1)
 
 
 def test_highest_root_property():
