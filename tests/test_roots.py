@@ -193,13 +193,13 @@ def test_span_membership_matches_projection_oracle(family, rank):
 
 
 def test_span_membership_checks_orthogonality_after_a_valid_call():
-    a3 = build_root_system("A", 3)
-    a1, a2, a3_ = (a3.simple_root(i) for i in (1, 2, 3))
-    assert a3.span_membership([a1, a3_], (1, 0, 1)) == (1, 1)
+    rs = build_root_system("A", 3)
+    a1, a2, a3 = (rs.simple_root(i) for i in (1, 2, 3))
+    assert rs.span_membership([a1, a3], (1, 0, 1)) == (1, 1)
     with pytest.raises(ValueError, match="not pairwise orthogonal"):
-        a3.span_membership([a1, a2], (1, 1, 0))
+        rs.span_membership([a1, a2], (1, 1, 0))
     with pytest.raises(ValueError, match="not pairwise orthogonal"):
-        a3.span_membership([a1, a3_, a2], (1, 1, 0))
+        rs.span_membership([a1, a3, a2], (1, 1, 0))
 
 
 def test_span_membership_memo_is_per_system():
