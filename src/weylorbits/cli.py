@@ -3,19 +3,18 @@
 Subcommands: poset, compare, classify, cascade, orbits, selftest.
 Exit codes: 0 success / relation holds, 1 property fails / incomparable,
 2 usage or validation error, 3 enumeration cap exceeded.
+
+The layer modules (quotient, linkpatterns, nilpotent) and json are imported
+inside the commands that use them, so a command loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import linkpatterns as lp
-from . import nilpotent as nil
-from . import quotient as qt
 from .roots import RootSystem, build_root_system, InvalidRankError
 from .weyl import (
     CapExceededError,
@@ -25,6 +24,10 @@ from .weyl import (
     to_line_notation,
     weyl_group,
 )
+
+if TYPE_CHECKING:
+    from . import nilpotent as nil
+    from . import quotient as qt
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,6 +90,8 @@ def _enumerate_capped(system: RootSystem) -> None:
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
+    from . import quotient as qt
+
     system = _build_system(args.type, args.rank)
     _enumerate_capped(system)
     I = _parse_ints(args.I) if args.I else []
@@ -101,8 +106,11 @@ def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
 
 def _write(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -131,6 +139,8 @@ def _word_str(w: WeylElement) -> str:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
+    from . import quotient as qt
+
     datum = _build_datum(args)
     poset = qt.build_poset(datum)
     if args.format == "dot":
@@ -148,6 +158,8 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import quotient as qt
+
     datum = _build_datum(args)
     wp = _parse_word(datum, args.lhs, args.perm)
     w = _parse_word(datum, args.rhs, args.perm)
@@ -163,6 +175,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         lines.append(f"not {_word_str(wp.rep)} <=_O {_word_str(w.rep)}")
     if datum.system.family == "A" and args.nr:
+        from . import linkpatterns as lp
+
         n, r = _parse_nr(args.nr)
         try:
             for label, node in (("lhs", wp), ("rhs", w)):
@@ -180,6 +194,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import nilpotent as nil
+
     system = _build_system(args.type, args.rank)
     thetas = []
     for spec_text in args.root:
@@ -193,6 +209,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     report = nil.classify(oset)
     if args.format == "json":
+        import json
+
         _write(args, json.dumps(_report_json(report), indent=2) + "\n")
         return EXIT_OK
     lines = [
@@ -238,6 +256,8 @@ def _report_json(report: nil.ClassificationReport) -> Dict:
 def cmd_cascade(args: argparse.Namespace) -> int:
     if args.depth is not None and args.depth < 0:
         raise UsageError("--depth must be >= 0")
+    from . import nilpotent as nil
+
     system = _build_system(args.type, args.rank)
     tree = nil.chain_cascade(system, args.depth)
     lines: List[str] = []
@@ -259,6 +279,8 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
+    from . import linkpatterns as lp
+
     n, r = args.n, args.r
     if 2 * r > n or r < 0:
         raise UsageError("need 0 <= 2r <= n")
@@ -285,6 +307,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
             }
         )
     if args.format == "json":
+        import json
+
         _write(args, json.dumps(rows, indent=2) + "\n")
     else:
         lines = [
@@ -305,6 +329,9 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import linkpatterns as lp
+    from . import quotient as qt
+
     failures: List[str] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:

@@ -99,17 +99,25 @@ def count_patterns(n: int, r: int) -> int:
     return math.factorial(n) // (math.factorial(r) * math.factorial(n - 2 * r))
 
 
-def matrix_from_olp(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
-    """M_d with M_d(eps_i) = eps_j for each arrow i -> j; squares to zero."""
-    m = [[0] * d.n for _ in range(d.n)]
+def _pattern_rows(d: OrientedLinkPattern) -> Tuple[int, ...]:
+    """The column rows of M_d (see _column_rows): column s holds its 1 in row
+    t for each arrow s -> t. Raises unless M_d squares to zero."""
+    rows = [0] * d.n
     for s, t in d.arrows:
-        m[t - 1][s - 1] = 1
-    mat = tuple(tuple(row) for row in m)
-    rows = _column_rows(mat)
+        rows[s - 1] = t
     # M^2 eps_c = M eps_row(c): M^2 = 0 iff column row(c) is zero for each nonzero column c
     if any(rows[row - 1] for row in rows if row):
         raise AssertionError("pattern matrix does not square to zero")
-    return mat
+    return tuple(rows)
+
+
+def matrix_from_olp(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
+    """M_d with M_d(eps_i) = eps_j for each arrow i -> j; squares to zero."""
+    m = [[0] * d.n for _ in range(d.n)]
+    for c, row in enumerate(_pattern_rows(d)):
+        if row:
+            m[row - 1][c] = 1
+    return tuple(tuple(row) for row in m)
 
 
 # -- statistics ----------------------------------------------------------
@@ -201,7 +209,7 @@ def rank_stat(i: int, j: int, y: Sequence[Sequence[int]]) -> int:
 
 @lru_cache(maxsize=None)
 def rank_table(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(_rank_rows(_column_rows(matrix_from_olp(d)))[1:])
+    return tuple(_rank_rows(_pattern_rows(d))[1:])
 
 
 def leq_rank(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
@@ -269,7 +277,7 @@ def orbit_dimension(d: OrientedLinkPattern) -> int:
     x[s][s'] = x[t][t'] for arrows s -> t, s' -> t' with s <= s', t <= t'.
     """
     n = d.n
-    arrows = [(s, t) for s, t in enumerate(_column_rows(matrix_from_olp(d)), 1) if t]
+    arrows = [(s, t) for s, t in enumerate(_pattern_rows(d), 1) if t]
     sources, targets = {s for s, _ in arrows}, {t for _, t in arrows}
     free = sum(
         1 for i in range(1, n + 1) if i not in sources for j in range(i, n + 1) if j not in targets

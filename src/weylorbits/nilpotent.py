@@ -101,8 +101,7 @@ def is_rationally_orthogonal(
 
 
 def _is_long(system: RootSystem, v: Coords) -> bool:
-    # the highest root of an irreducible system is long
-    return system.form(v, v) == system.form(system.highest_root, system.highest_root)
+    return system.norm(v) == system.long_norm
 
 
 def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:

@@ -8,7 +8,6 @@ it is computed through the Bruhat-minimal coset members Min(w').
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -273,6 +272,8 @@ class PosetGraph:
         return tuple(counts[k] for k in sorted(counts))
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "nodes": [

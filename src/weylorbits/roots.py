@@ -173,33 +173,40 @@ class RootSystem:
             tuple((j, a) for j, a in enumerate(row) if a and j != i)
             for i, row in enumerate(self.cartan)
         )
-        self.roots: Tuple[Coords, ...] = self._generate()
+        # norms[b] = (b, b) for every root b: one value per root length
+        self.norms: Dict[Coords, int] = self._generate()
+        self.roots: Tuple[Coords, ...] = tuple(sorted(self.norms))
         self.root_set = frozenset(self.roots)
         self.positive_roots: Tuple[Coords, ...] = tuple(
             r for r in self.roots if self.is_positive(r)
         )
         self.highest_root: Coords = self._highest()
+        # the highest root of an irreducible system is long
+        self.long_norm = self.norms[self.highest_root]
         self._span_memo: Optional[tuple] = None  # see span_membership
 
     # -- construction -----------------------------------------------------
 
-    def _generate(self) -> Tuple[Coords, ...]:
-        simple = [
-            tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
-        ]
-        seen = set(simple)
-        frontier = list(simple)
+    def _generate(self) -> Dict[Coords, int]:
+        """Every root with its norm, by reflection closure from the simple
+        roots: s_i preserves the form, so a root keeps the norm
+        (alpha_i, alpha_i) = 2 d_i of the simple root it came from."""
+        norms = {
+            tuple(1 if j == i else 0 for j in range(self.rank)): 2 * d
+            for i, d in enumerate(self.symm)
+        }
+        frontier = list(norms)
         while frontier:
             nxt = []
             for v in frontier:
                 for i in range(self.rank):
                     w = self.reflect_simple(v, i)
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in norms:
+                        norms[w] = norms[v]
                         nxt.append(w)
             frontier = nxt
-        seen |= {tuple(-x for x in v) for v in seen}
-        return tuple(sorted(seen))
+        norms.update({tuple(-x for x in v): m for v, m in list(norms.items())})
+        return norms
 
     def _highest(self) -> Coords:
         best = None
@@ -238,10 +245,15 @@ class RootSystem:
         """(u, v) with (alpha_i, alpha_j) = d_i * a_ij; integer on the root lattice."""
         return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.gram) if ui)
 
+    def norm(self, b: Coords) -> int:
+        """(b, b), read from the root norms when b is a root."""
+        m = self.norms.get(tuple(b))
+        return self.form(b, b) if m is None else m
+
     def pairing(self, a: Coords, b: Coords) -> int:
         """<a, b^vee> = 2(a,b)/(b,b) for b a root."""
         num = 2 * self.form(a, b)
-        den = self.form(b, b)
+        den = self.norm(b)
         q, r = divmod(num, den)
         if r:
             raise ValueError("pairing is not integral; b is not a root")
@@ -290,28 +302,6 @@ class RootSystem:
             cur = self.reflect_coweight(cur, i)
             word.append(i + 1)
 
-    def coweight_to_coroot_basis(self, h: Coweight) -> Tuple[Fraction, ...]:
-        """Coefficients c with h = sum c_j alpha_j^vee; solves A^T c = coords."""
-        n = self.rank
-        mat = [
-            [Fraction(self.cartan[j][i]) for j in range(n)] + [Fraction(h.coords[i])]
-            for i in range(n)
-        ]
-        sol = _solve_square(mat)
-        if sol is None:
-            raise ValueError("Cartan matrix is singular")
-        return tuple(sol)
-
-    def coweight_from_coroot_basis(self, c: Sequence[Fraction]) -> Coweight:
-        n = self.rank
-        coords = []
-        for i in range(n):
-            v = sum(c[j] * self.cartan[j][i] for j in range(n))
-            if v.denominator != 1:
-                raise ValueError("not an integral coweight")
-            coords.append(int(v))
-        return Coweight(tuple(coords))
-
     # -- rational span --------------------------------------------------------
 
     def span_membership(
@@ -345,23 +335,6 @@ class RootSystem:
         if any(rest):
             return None
         return tuple(Fraction(p, m) for p, m in zip(proj, norms))
-
-
-def _solve_square(aug: List[List[Fraction]]) -> Optional[List[Fraction]]:
-    """Solve a square augmented system by Gaussian elimination."""
-    n = len(aug)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 # One RootSystem per (family, rank) and process; its Weyl group is cached on it.

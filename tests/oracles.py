@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from weylorbits.linkpatterns import OrientedLinkPattern, matrix_from_olp
 from weylorbits.quotient import IJKDatum, QuotientElement
-from weylorbits.roots import Coords, RootSystem
+from weylorbits.roots import Coords, Coweight, RootSystem
 from weylorbits.weyl import WeylElement, from_word
 
 
@@ -132,3 +132,44 @@ def projection_span_membership(
     coeffs = tuple(Fraction(system.form(gamma, b), system.form(b, b)) for b in roots)
     recon = [sum(q * b[j] for q, b in zip(coeffs, roots)) for j in range(system.rank)]
     return coeffs if recon == list(gamma) else None
+
+
+def _solve_square(aug: List[List[Fraction]]) -> Optional[List[Fraction]]:
+    """Solve a square augmented system by Gaussian elimination."""
+    n = len(aug)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def coweight_to_coroot_basis(system: RootSystem, h: Coweight) -> Tuple[Fraction, ...]:
+    """Coefficients c with h = sum c_j alpha_j^vee; solves A^T c = coords."""
+    n = system.rank
+    mat = [
+        [Fraction(system.cartan[j][i]) for j in range(n)] + [Fraction(h.coords[i])]
+        for i in range(n)
+    ]
+    sol = _solve_square(mat)
+    if sol is None:
+        raise ValueError("Cartan matrix is singular")
+    return tuple(sol)
+
+
+def coweight_from_coroot_basis(system: RootSystem, c: Sequence[Fraction]) -> Coweight:
+    n = system.rank
+    coords = []
+    for i in range(n):
+        v = sum(c[j] * system.cartan[j][i] for j in range(n))
+        if v.denominator != 1:
+            raise ValueError("not an integral coweight")
+        coords.append(int(v))
+    return Coweight(tuple(coords))

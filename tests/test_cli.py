@@ -284,3 +284,24 @@ def test_cap_ignored_by_commands_that_do_not_enumerate(capsys, monkeypatch, name
 def test_bad_cap_is_a_usage_error(capsys, monkeypatch, cap):
     monkeypatch.setenv("WEYLORBITS_CAP", cap)
     _assert_usage_error(capsys, "poset", *FIG_ARGS)
+
+
+def _bad_outputs(tmp_path):
+    targets = [str(tmp_path / "missing" / "out.txt"), str(tmp_path)]
+    if os.path.exists("/dev/full"):
+        targets.append("/dev/full")  # opens, but every write fails with ENOSPC
+    return targets
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", *FIG_ARGS),
+        ("orbits", "--n", "4", "--r", "2"),
+        ("compare", *FIG_ARGS, "1 2", "3 2"),  # incomparable: exit 1 if written
+    ],
+    ids=["poset", "orbits", "compare"],
+)
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    for target in _bad_outputs(tmp_path):
+        _assert_usage_error(capsys, *argv, "--output", target)

