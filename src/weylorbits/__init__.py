@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "roots": (
-        "CartanDatum",
         "Coweight",
         "RootSystem",
         "build_root_system",
@@ -24,8 +23,6 @@ _EXPORTS = {
         "WeylGroup",
         "bruhat_covers_below",
         "bruhat_leq",
-        "enumerate_group",
-        "enumerate_min_coset_reps",
         "from_line_notation",
         "from_word",
         "identity",

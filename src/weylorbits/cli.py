@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .roots import RootSystem, build_root_system, InvalidRankError
 from .weyl import (
     CapExceededError,
-    WeylElement,
     from_line_notation,
     from_word,
     to_line_notation,
@@ -130,11 +129,6 @@ def _parse_word(datum: qt.IJKDatum, text: str, perm: bool) -> qt.QuotientElement
     return datum.canonical_rep(w)
 
 
-def _word_str(w: WeylElement) -> str:
-    word = w.reduced_word()
-    return "e" if not word else " ".join(f"s{i}" for i in word)
-
-
 # -- subcommands ----------------------------------------------------------
 
 
@@ -150,9 +144,9 @@ def cmd_poset(args: argparse.Namespace) -> int:
     else:
         lines = [f"{len(poset.nodes)} nodes, {len(poset.edges)} cover edges"]
         for i, node in enumerate(poset.nodes):
-            lines.append(f"  [{i}] rank {node.length()}: {_word_str(node.rep)}")
+            lines.append(f"  [{i}] rank {node.length()}: {node.rep!r}")
         for lo, hi in poset.edges:
-            lines.append(f"  {_word_str(poset.nodes[lo].rep)} < {_word_str(poset.nodes[hi].rep)}")
+            lines.append(f"  {poset.nodes[lo].rep!r} < {poset.nodes[hi].rep!r}")
         _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -167,14 +161,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rel = qt.leq_O(wp, w)
     rel_back = qt.leq_O(w, wp)
     mins_p = qt.min_set(wp)
-    lines.append(f"lhs: {_word_str(wp.rep)}  Min = {{{', '.join(_word_str(u) for u in mins_p)}}}")
-    lines.append(f"rhs: {_word_str(w.rep)}  Min = {{{', '.join(_word_str(u) for u in qt.min_set(w))}}}")
+    lines.append(f"lhs: {wp.rep!r}  Min = {{{', '.join(map(repr, mins_p))}}}")
+    lines.append(f"rhs: {w.rep!r}  Min = {{{', '.join(map(repr, qt.min_set(w)))}}}")
     if rel:
         witness = next(u for u in mins_p if datum.group.bruhat_leq(u, w.rep))
-        lines.append(f"{_word_str(wp.rep)} <=_O {_word_str(w.rep)} (witness {_word_str(witness)})")
+        lines.append(f"{wp.rep!r} <=_O {w.rep!r} (witness {witness!r})")
     else:
-        lines.append(f"not {_word_str(wp.rep)} <=_O {_word_str(w.rep)}")
-    if datum.system.family == "A" and args.nr:
+        lines.append(f"not {wp.rep!r} <=_O {w.rep!r}")
+    if args.nr:
         from . import linkpatterns as lp
 
         n, r = _parse_nr(args.nr)

@@ -409,69 +409,42 @@ class InvolutionReport:
 
 
 def _subdiagram_type(system: RootSystem, indices: Sequence[int]) -> str:
-    """Cartan type of the subdiagram on the given simple indices (1-based)."""
+    """Cartan type of the connected subdiagram on the given simple indices
+    (1-based); every subdiagram of a finite diagram is of finite type."""
     idx = sorted(indices)
     n = len(idx)
     if n == 0:
         return ""
     edges = []
+    degs = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
             i, j = idx[a] - 1, idx[b] - 1
             prod = system.cartan[i][j] * system.cartan[j][i]
             if prod:
                 edges.append((a, b, prod))
-    if any(p == 3 for _, _, p in edges):
-        return "G2"
-    if any(p == 2 for _, _, p in edges):
-        degs = [0] * n
-        for a, b, _ in edges:
-            degs[a] += 1
-            degs[b] += 1
-        if max(degs) > 2:
-            raise ValueError("not an irreducible finite type")
-        if n == 2:
-            return "B2"
-        dbl = next((a, b) for a, b, p in edges if p == 2)
-        if all(degs[x] == 2 for x in dbl):
-            return "F4"
-        ds = [system.symm[i - 1] for i in idx]
-        short = sum(1 for d in ds if d == min(ds))
-        return f"B{n}" if short == 1 else f"C{n}"
-    degs = [0] * n
-    for a, b, _ in edges:
-        degs[a] += 1
-        degs[b] += 1
+                degs[a] += 1
+                degs[b] += 1
     if len(edges) != n - 1:
         raise ValueError("subdiagram is not connected")
-    if max(degs, default=0) <= 2:
+    bonds = {p for _, _, p in edges}
+    if 3 in bonds:
+        return "G2"
+    if 2 in bonds:
+        if n == 2:
+            return "B2"
+        a, b = next((a, b) for a, b, p in edges if p == 2)
+        if degs[a] == degs[b] == 2:
+            return "F4"
+        ds = [system.symm[i - 1] for i in idx]
+        return f"B{n}" if ds.count(min(ds)) == 1 else f"C{n}"
+    if max(degs) <= 2:
         return f"A{n}"
+    # a simply-laced tree with a branch node: D_n has two or three end
+    # nodes next to the branch node, E_n has one
     branch = degs.index(3)
-    arms = sorted(_arm_lengths(n, edges, branch))
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{n}"
-    if arms == [1, 2, n - 4]:
-        return f"E{n}"
-    raise ValueError("unrecognized diagram")
-
-
-def _arm_lengths(n: int, edges: List[Tuple[int, int, int]], branch: int) -> List[int]:
-    adj: Dict[int, List[int]] = {i: [] for i in range(n)}
-    for a, b, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    arms = []
-    for start in adj[branch]:
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
+    ends = sum(1 for a, b, _ in edges if branch in (a, b) and degs[a + b - branch] == 1)
+    return f"D{n}" if ends >= 2 else f"E{n}"
 
 
 def involution_element(oset: OrthogonalSet) -> WeylElement:

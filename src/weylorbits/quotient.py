@@ -9,7 +9,7 @@ it is computed through the Bruhat-minimal coset members Min(w').
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .roots import RootSystem
 from .weyl import WeylElement, WeylGroup, simple_mask, weyl_group
@@ -43,8 +43,8 @@ class IJKDatum:
         self.group: WeylGroup = weyl_group(system)
         self.L = tuple(sorted(self.I + self.J + self.K))
         g = self.group
-        self._jk_mask = simple_mask(self.J + self.K)
-        self._l_mask = simple_mask(self.L)
+        self._jk_mask = simple_mask(system.rank, self.J + self.K)
+        self._l_mask = simple_mask(system.rank, self.L)
         self._w_i = g.subgroup_indices(self.I)
         self._w_k = g.subgroup_indices(self.K)
         # a reduced word of x in W_I maps letter by letter to one of x*
@@ -104,9 +104,6 @@ class IJKDatum:
 
     def w_i_elements(self) -> List[WeylElement]:
         return [self.group.elements[x] for x in self._w_i]
-
-    def w_k_elements(self) -> List[WeylElement]:
-        return [self.group.elements[a] for a in self._w_k]
 
     def _coset(self, w: int) -> List[int]:
         g = self.group
@@ -294,17 +291,12 @@ class PosetGraph:
             lines.append("\t{")
             lines.append("\t\trank = same;")
             for i in by_rank[rank]:
-                label = _word_label(self.nodes[i].rep.reduced_word())
-                lines.append(f'\t\t"n{i}" [label="{label}", rank={rank}];')
+                lines.append(f'\t\t"n{i}" [label="{self.nodes[i].rep!r}", rank={rank}];')
             lines.append("\t}")
         for lo, hi in self.edges:
             lines.append(f'\t"n{lo}" -> "n{hi}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _word_label(word: Sequence[int]) -> str:
-    return "e" if not word else " ".join(f"s{i}" for i in word)
 
 
 def build_poset(datum: IJKDatum) -> PosetGraph:

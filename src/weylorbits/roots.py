@@ -4,7 +4,9 @@ Roots are integer vectors in the simple-root basis. Coweights are integer
 vectors in the fundamental-coweight basis (entry i is the value on alpha_i).
 Simple roots are numbered as in Bourbaki for every family; in particular the
 branch node of E6/E7/E8 is alpha_4 with alpha_2 hanging off it, B_n has the
-short simple root last and C_n the long simple root last.
+short simple root last and C_n the long simple root last. The simple
+reflection kernel on coweights (coweight_reflect, strip_descents) is shared
+with weyl, which keys group elements by coweights.
 """
 
 from __future__ import annotations
@@ -106,42 +108,37 @@ def symmetrizer(family: str, rank: int) -> Coords:
     return tuple([1] * rank)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    family: str
-    rank: int
-    cartan: Tuple[Coords, ...]
-    symm: Coords
-
-    def __post_init__(self) -> None:
-        a, d = self.cartan, self.symm
-        n = self.rank
-        for i in range(n):
-            if a[i][i] != 2:
-                raise ValueError("Cartan diagonal must be 2")
-            if d[i] <= 0:
-                raise ValueError("symmetrizer must be positive")
-            for j in range(n):
-                if i != j and a[i][j] > 0:
-                    raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if d[i] * a[i][j] != d[j] * a[j][i]:
-                    raise ValueError("D*A must be symmetric")
-        if not _positive_definite([[d[i] * a[i][j] for j in range(n)] for i in range(n)]):
-            raise ValueError("D*A must be positive definite (finite type)")
+Bonds = Sequence[Sequence[Tuple[int, int]]]
 
 
-def _positive_definite(m: List[List[int]]) -> bool:
-    n = len(m)
-    work = [[Fraction(x) for x in row] for row in m]
-    for k in range(n):
-        # leading principal minors positive iff all pivots positive
-        if work[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = work[i][k] / work[k][k]
-            for j in range(k, n):
-                work[i][j] -= f * work[k][j]
-    return True
+def coweight_reflect(bonds: Bonds, x: Coords, i: int) -> Coords:
+    """s_{alpha_i}(x) = x - x_i (a_i1, ..., a_in) for a coweight x, 0-based i."""
+    xi = x[i]
+    y = list(x)
+    y[i] = -xi
+    for j, a in bonds[i]:
+        y[j] -= a * xi
+    return tuple(y)
+
+
+def strip_descents(
+    bonds: Bonds, x: Coords, mask: Optional[int] = None
+) -> Tuple[List[int], Coords]:
+    """Reflect at the smallest 0-based index i with x_i < 0 (only indices
+    whose bit is set in `mask`, if given) until there is none.
+
+    Returns the 1-based letters in application order and the final coweight.
+    For a Weyl group key x = w^{-1}(rho^vee) the letters p_1..p_k are right
+    descents removed in turn: w = u s_{p_k} ... s_{p_1} where u has the final key.
+    """
+    idx = range(len(x)) if mask is None else [i for i in range(len(x)) if mask >> i & 1]
+    letters: List[int] = []
+    while True:
+        i = next((i for i in idx if x[i] < 0), None)
+        if i is None:
+            return letters, x
+        letters.append(i + 1)
+        x = coweight_reflect(bonds, x, i)
 
 
 @dataclass(frozen=True)
@@ -160,12 +157,13 @@ class Coweight:
 class RootSystem:
     """Immutable root system built by reflection closure from the simple roots."""
 
-    def __init__(self, datum: CartanDatum):
-        self.datum = datum
-        self.family = datum.family
-        self.rank = datum.rank
-        self.cartan = datum.cartan
-        self.symm = datum.symm
+    def __init__(self, family: str, rank: int):
+        if not _rank_ok(family, rank):
+            raise InvalidRankError(f"unsupported root system {family}{rank}")
+        self.family = family
+        self.rank = rank
+        self.cartan = cartan_matrix(family, rank)
+        self.symm = symmetrizer(family, rank)
         # B = D A, the symmetrized Cartan matrix: (u, v) = u . B v
         self.gram = tuple(tuple(d * a for a in row) for d, row in zip(self.symm, self.cartan))
         # bonds[i]: the (j, a_ij) with j != i and a_ij != 0, 0-based
@@ -177,6 +175,9 @@ class RootSystem:
         self.norms: Dict[Coords, int] = self._generate()
         self.roots: Tuple[Coords, ...] = tuple(sorted(self.norms))
         self.root_set = frozenset(self.roots)
+        expected = CLASSICAL_COUNTS[family](rank)
+        if len(self.roots) != expected:
+            raise AssertionError(f"{family}{rank} has {len(self.roots)} roots, expected {expected}")
         self.positive_roots: Tuple[Coords, ...] = tuple(
             r for r in self.roots if self.is_positive(r)
         )
@@ -281,10 +282,7 @@ class RootSystem:
 
     def reflect_coweight(self, h: Coweight, i: int) -> Coweight:
         """s_{alpha_i} acting on a coweight, 0-based i."""
-        hi = h.coords[i]
-        return Coweight(
-            tuple(h.coords[j] - self.cartan[i][j] * hi for j in range(self.rank))
-        )
+        return Coweight(coweight_reflect(self.bonds, h.coords, i))
 
     def dominantize(self, h: Coweight) -> Tuple[Coweight, Tuple[int, ...]]:
         """Dominant W-conjugate of h and the word of simple reflections applied.
@@ -292,15 +290,8 @@ class RootSystem:
         Each step reflects at the smallest simple index where h is negative;
         the word is returned in application order (1-based indices).
         """
-        word: List[int] = []
-        cur = h
-        while True:
-            neg = [i for i, c in enumerate(cur.coords) if c < 0]
-            if not neg:
-                return cur, tuple(word)
-            i = neg[0]
-            cur = self.reflect_coweight(cur, i)
-            word.append(i + 1)
+        letters, x = strip_descents(self.bonds, h.coords)
+        return Coweight(x), tuple(letters)
 
     # -- rational span --------------------------------------------------------
 
@@ -345,14 +336,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """The root system of the given family and rank, built once per process."""
     family = family.upper()
     rs = _SYSTEMS.get((family, rank))
-    if rs is not None:
-        return rs
-    if not _rank_ok(family, rank):
-        raise InvalidRankError(f"unsupported root system {family}{rank}")
-    datum = CartanDatum(family, rank, cartan_matrix(family, rank), symmetrizer(family, rank))
-    rs = RootSystem(datum)
-    expected = CLASSICAL_COUNTS[family](rank)
-    if len(rs.roots) != expected:
-        raise AssertionError(f"{family}{rank} has {len(rs.roots)} roots, expected {expected}")
-    _SYSTEMS[(family, rank)] = rs
+    if rs is None:
+        rs = _SYSTEMS[(family, rank)] = RootSystem(family, rank)
     return rs

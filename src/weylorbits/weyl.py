@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .roots import Coords, RootSystem
-
-Bonds = Sequence[Sequence[Tuple[int, int]]]
+from .roots import Coords, RootSystem, coweight_reflect, strip_descents
 
 
 class CapExceededError(RuntimeError):
@@ -33,35 +31,6 @@ class CapExceededError(RuntimeError):
     def __init__(self, partial_size: int):
         super().__init__(f"enumeration cap exceeded; partial size {partial_size}")
         self.partial_size = partial_size
-
-
-def _reflect(bonds: Bonds, x: Coords, i: int) -> Coords:
-    """s_{alpha_i}(x) = x - x_i (a_i1, ..., a_in) for a coweight x, 0-based i."""
-    xi = x[i]
-    y = list(x)
-    y[i] = -xi
-    for j, a in bonds[i]:
-        y[j] -= a * xi
-    return tuple(y)
-
-
-def _strip_descents(
-    bonds: Bonds, x: Coords, allowed: Optional[Iterable[int]] = None
-) -> Tuple[List[int], Coords]:
-    """Remove right descents (smallest 0-based index first, only indices in
-    `allowed` if given) until none is left.
-
-    Returns the 1-based letters in removal order and the final key: with
-    letters p_1..p_k, w = u s_{p_k} ... s_{p_1} where u has the final key.
-    """
-    idx = range(len(x)) if allowed is None else sorted(i for i in allowed if 0 <= i < len(x))
-    letters: List[int] = []
-    while True:
-        i = next((i for i in idx if x[i] < 0), None)
-        if i is None:
-            return letters, x
-        letters.append(i + 1)
-        x = _reflect(bonds, x, i)
 
 
 class WeylElement:
@@ -97,7 +66,7 @@ class WeylElement:
 
     def _letters(self) -> List[int]:
         """Letters p_1..p_k with w = s_{p_k} ... s_{p_1}."""
-        return _strip_descents(self.system.bonds, self.x)[0]
+        return strip_descents(self.system.bonds, self.x)[0]
 
     def apply(self, v: Coords) -> Coords:
         """Image of a root-lattice vector under w."""
@@ -109,7 +78,7 @@ class WeylElement:
         bonds = self.system.bonds
         x = self.x
         for i in reversed(other._letters()):
-            x = _reflect(bonds, x, i - 1)
+            x = coweight_reflect(bonds, x, i - 1)
         return WeylElement(self.system, x)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
@@ -119,7 +88,7 @@ class WeylElement:
         bonds = self.system.bonds
         x = (1,) * self.system.rank
         for i in self._letters():
-            x = _reflect(bonds, x, i - 1)
+            x = coweight_reflect(bonds, x, i - 1)
         return WeylElement(self.system, x)
 
     def is_identity(self) -> bool:
@@ -147,9 +116,7 @@ class WeylElement:
 
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
     """s_{alpha_i}, 1-based index."""
-    if not 1 <= i <= system.rank:
-        raise IndexError(f"simple index {i} out of range")
-    return WeylElement(system, _reflect(system.bonds, (1,) * system.rank, i - 1))
+    return from_word(system, (i,))
 
 
 def reflection(system: RootSystem, beta: Coords) -> WeylElement:
@@ -165,11 +132,10 @@ def identity(system: RootSystem) -> WeylElement:
 
 def from_word(system: RootSystem, word: Sequence[int]) -> WeylElement:
     """Product s_{i_1} ... s_{i_k}, rightmost letter acting first."""
+    simple_mask(system.rank, word)  # IndexError for a letter outside 1..rank
     x = (1,) * system.rank
     for i in word:
-        if not 1 <= i <= system.rank:
-            raise IndexError(f"simple index {i} out of range")
-        x = _reflect(system.bonds, x, i - 1)
+        x = coweight_reflect(system.bonds, x, i - 1)
     return WeylElement(system, x)
 
 
@@ -183,7 +149,7 @@ def parabolic_decompose(
 ) -> Tuple[WeylElement, WeylElement]:
     """Unique factorization w = w_upper * w_lower with w_lower in W_L, w_upper in W^L."""
     rs = w.system
-    letters, x = _strip_descents(rs.bonds, w.x, {i - 1 for i in L})
+    letters, x = strip_descents(rs.bonds, w.x, simple_mask(rs.rank, L))
     return WeylElement(rs, x), from_word(rs, letters[::-1])
 
 
@@ -237,7 +203,7 @@ class WeylGroup:
         for e, x in enumerate(keys):
             row = []
             for i in range(n):
-                y = _reflect(bonds, x, i)
+                y = coweight_reflect(bonds, x, i)
                 j = index.get(y)
                 if j is None:
                     if len(keys) >= cap:
@@ -302,13 +268,14 @@ class WeylGroup:
 
     def subgroup_indices(self, L: Iterable[int]) -> List[int]:
         """Indices of the standard parabolic W_L, breadth-first by length."""
-        Lset = sorted(set(L))
+        mask = simple_mask(self.system.rank, L)
+        gens = [i for i in range(self.system.rank) if mask >> i & 1]
         right_mul = self.right_mul
         out = [0]
         seen = {0}
         for k in out:  # a FIFO queue, as in __init__
-            for i in Lset:
-                j = right_mul[k][i - 1]
+            for i in gens:
+                j = right_mul[k][i]
                 if j not in seen:
                     seen.add(j)
                     out.append(j)
@@ -370,7 +337,7 @@ class WeylGroup:
 
     def min_coset_reps(self, L: Iterable[int]) -> List[WeylElement]:
         """Minimal-length representatives W^L, in enumeration order."""
-        mask = simple_mask(L)
+        mask = simple_mask(self.system.rank, L)
         return [w for w, d in zip(self.elements, self.descents) if not d & mask]
 
 
@@ -378,17 +345,15 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def simple_mask(indices: Iterable[int]) -> int:
-    """Bit mask of a set of 1-based simple indices (bit i for index i+1)."""
+def simple_mask(rank: int, indices: Iterable[int]) -> int:
+    """Bit mask of 1-based simple indices (bit i for index i+1) of a rank-n
+    system; IndexError for an index outside 1..n."""
     mask = 0
     for i in indices:
+        if not 1 <= i <= rank:
+            raise IndexError(f"simple index {i} out of range")
         mask |= 1 << (i - 1)
     return mask
-
-
-def enumerate_group(system: RootSystem, cap: Optional[int] = None) -> List[WeylElement]:
-    """All elements of W, breadth-first by length."""
-    return weyl_group(system, cap).elements
 
 
 def weyl_group(system: RootSystem, cap: Optional[int] = None) -> WeylGroup:
@@ -405,10 +370,6 @@ def weyl_group(system: RootSystem, cap: Optional[int] = None) -> WeylGroup:
     elif cap is not None and len(group) > cap:
         raise CapExceededError(cap)
     return group
-
-
-def enumerate_min_coset_reps(system: RootSystem, L: Iterable[int]) -> List[WeylElement]:
-    return weyl_group(system).min_coset_reps(L)
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:

@@ -35,6 +35,14 @@ CLASSIFY = (
     ("B", 2, ("1 2", "1 0")),
     ("G", 2, ("3 2", "1 0")),
 )
+# the highest root of each system, whose Levi subdiagram folds to the type named
+HIGHEST_ROOTS = (
+    ("E", 8, "2 3 4 6 5 4 3 2"),  # E7
+    ("E", 7, "2 2 3 4 3 2 1"),  # D6
+    ("D", 6, "1 2 2 2 1 1"),  # D4 x A1
+    ("F", 4, "2 3 4 2"),  # C3
+    ("B", 5, "1 2 2 2 2"),  # B3 x A1
+)
 
 
 def _datum_args(f, r, I, J, K):
@@ -57,6 +65,8 @@ def cases():
     for k, (f, r, roots) in enumerate(CLASSIFY):
         for fmt in ("text", "json"):
             out.append((f"classify-{k}-{f}{r}.{fmt}", ["classify", "--type", f, "--rank", str(r), "--format", fmt, *roots]))
+    for f, r, root in HIGHEST_ROOTS:
+        out.append((f"classify-highest-{f}{r}.text", ["classify", "--type", f, "--rank", str(r), root]))
     out.append((
         "compare-A3-perm-nr.text",
         ["compare"] + _datum_args("A", 3, "1", "3", "") + ["--perm", "--nr", "4 2", "1 2 3 4", "4 3 1 2"],

@@ -11,6 +11,32 @@ from weylorbits.quotient import IJKDatum, QuotientElement
 from weylorbits.roots import Coords, Coweight, RootSystem
 from weylorbits.weyl import WeylElement, from_word
 
+# every supported (family, rank) of rank at most 8
+ALL_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", n) for n in (6, 7, 8)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+def positive_definite(m: Sequence[Sequence[int]]) -> bool:
+    """A symmetric matrix is positive definite iff every pivot of Gaussian
+    elimination without row exchanges is positive (the pivots are the ratios
+    of consecutive leading principal minors)."""
+    n = len(m)
+    work = [[Fraction(x) for x in row] for row in m]
+    for k in range(n):
+        if work[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = work[i][k] / work[k][k]
+            for j in range(k, n):
+                work[i][j] -= f * work[k][j]
+    return True
+
 
 def bruhat_leq_subword(u: WeylElement, w: WeylElement) -> bool:
     """Subword characterization: u <= w iff some subsequence of a reduced

@@ -235,6 +235,13 @@ def test_selftest_coxeter_without_index_3(capsys):
     _assert_usage_error(capsys, "selftest", "--coxeter", "G2")
 
 
+@pytest.mark.parametrize("nr", ["banana", "4 2"])
+def test_compare_nr_outside_type_a(capsys, nr):
+    _assert_usage_error(
+        capsys, "compare", "--type", "B", "--rank", "3", "--I", "1", "--J", "3", "--nr", nr, "1", "2"
+    )
+
+
 def test_cascade_negative_depth(capsys):
     _assert_usage_error(capsys, "cascade", "--type", "A", "--rank", "3", "--depth", "-1")
 

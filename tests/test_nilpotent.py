@@ -7,6 +7,7 @@ from weylorbits.nilpotent import (
     CascadeNode,
     OrthogonalSet,
     _case_supports,
+    _subdiagram_type,
     cascade_chains,
     chain_cascade,
     classify,
@@ -24,10 +25,10 @@ from weylorbits.nilpotent import (
     type_b_height,
     weighted_dynkin,
 )
-from weylorbits.roots import Coweight, RootSystem, build_root_system
+from weylorbits.roots import CLASSICAL_COUNTS, Coweight, RootSystem, build_root_system
 from weylorbits.weyl import from_word, reflection
 
-from oracles import stabilizer_dimension
+from oracles import ALL_SYSTEMS, stabilizer_dimension
 
 
 def neg(v):
@@ -454,3 +455,40 @@ def test_classify_scans_each_set_once(monkeypatch):
     calls.clear()
     classify(orthogonal_set(b2, thetas))
     assert calls == [thetas] * (len(b2.roots) - 4) + [thetas[:1]] * (len(b2.roots) - 2)
+
+
+def connected_subsets(system):
+    """Every nonempty connected set of 1-based simple indices."""
+    n = system.rank
+    for k in range(1, n + 1):
+        for subset in combinations(range(1, n + 1), k):
+            reached, todo = {subset[0]}, [subset[0]]
+            while todo:
+                i = todo.pop()
+                for j in set(subset) - reached:
+                    if system.cartan[i - 1][j - 1]:
+                        reached.add(j)
+                        todo.append(j)
+            if len(reached) == k:
+                yield subset
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_subdiagram_type_of_every_connected_subset(family, rank):
+    rs = build_root_system(family, rank)
+    for subset in connected_subsets(rs):
+        name = _subdiagram_type(rs, subset)
+        sub_family, sub_rank = name[0], int(name[1:])
+        assert sub_rank == len(subset), (subset, name)
+        # the subsystem is the set of roots supported on the subset
+        outside = [i for i in range(rank) if i + 1 not in subset]
+        count = sum(1 for r in rs.roots if not any(r[i] for i in outside))
+        assert CLASSICAL_COUNTS[sub_family](sub_rank) == count, (subset, name)
+        multiple = any(
+            rs.cartan[i - 1][j - 1] * rs.cartan[j - 1][i - 1] > 1
+            for i, j in combinations(subset, 2)
+        )
+        assert (sub_family in "BCFG") == multiple, (subset, name)
+        if sub_family == "B" and sub_rank >= 3:
+            norms = [rs.norm(rs.simple_root(i)) for i in subset]
+            assert norms.count(min(norms)) == 1, (subset, name)

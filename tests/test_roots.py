@@ -7,24 +7,19 @@ from weylorbits.roots import (
     CLASSICAL_COUNTS,
     Coweight,
     InvalidRankError,
+    RootSystem,
     build_root_system,
+    cartan_matrix,
+    symmetrizer,
 )
 
 from oracles import (
+    ALL_SYSTEMS,
     coweight_from_coroot_basis,
     coweight_to_coroot_basis,
+    positive_definite,
     projection_span_membership,
 )
-
-ALL_SYSTEMS = (
-    [("A", n) for n in range(1, 9)]
-    + [("B", n) for n in range(2, 9)]
-    + [("C", n) for n in range(2, 9)]
-    + [("D", n) for n in range(3, 9)]
-    + [("E", n) for n in (6, 7, 8)]
-    + [("F", 4), ("G", 2)]
-)
-
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_classical_counts(family, rank):
@@ -37,6 +32,37 @@ def test_classical_counts(family, rank):
 def test_invalid_rank(family, rank):
     with pytest.raises(InvalidRankError):
         build_root_system(family, rank)
+    with pytest.raises(InvalidRankError):
+        RootSystem(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_builtin_cartan_data(family, rank):
+    # the built-in tables define a finite crystallographic root system:
+    # D A is a symmetric positive definite form with a[i][i] = 2, a[i][j] <= 0
+    a, d = cartan_matrix(family, rank), symmetrizer(family, rank)
+    n = range(rank)
+    assert all(a[i][i] == 2 for i in n)
+    assert all(a[i][j] <= 0 for i in n for j in n if i != j)
+    assert all(x > 0 for x in d)
+    b = [[d[i] * a[i][j] for j in n] for i in n]
+    assert all(b[i][j] == b[j][i] for i in n for j in n)
+    assert positive_definite(b)
+
+
+def test_positive_definite_rejects_affine_and_indefinite_forms():
+    # affine A_2 (semidefinite) and a hyperbolic rank-2 matrix (indefinite)
+    assert not positive_definite([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    assert not positive_definite([[2, -3], [-3, 2]])
+    assert positive_definite([[2, -1], [-1, 2]])
+
+
+def test_direct_construction_matches_cached_system():
+    rs = RootSystem("B", 3)
+    cached = build_root_system("B", 3)
+    assert rs is not cached
+    assert rs.roots == cached.roots and rs.norms == cached.norms
+    assert rs.highest_root == cached.highest_root
 
 
 def test_g2_lengths():

@@ -157,6 +157,30 @@ def test_parabolic_decompose(a3, ga3):
             assert lo in matches
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a3, g: g.subgroup_elements([0]),
+        lambda a3, g: g.subgroup_elements([9]),
+        lambda a3, g: g.min_coset_reps([0]),
+        lambda a3, g: parabolic_decompose(from_word(a3, [1, 2]), [7]),
+        lambda a3, g: simple_reflection(a3, 4),
+        lambda a3, g: from_word(a3, [1, 0]),
+    ],
+    ids=[
+        "subgroup_elements-0",
+        "subgroup_elements-9",
+        "min_coset_reps-0",
+        "parabolic_decompose-7",
+        "simple_reflection-4",
+        "from_word-0",
+    ],
+)
+def test_out_of_range_simple_index(a3, ga3, call):
+    with pytest.raises(IndexError, match=r"simple index -?\d+ out of range"):
+        call(a3, ga3)
+
+
 def test_enumeration(a3):
     assert len(weyl_group(a3)) == 24
     assert len(weyl_group(a3).min_coset_reps([1, 3])) == 6
