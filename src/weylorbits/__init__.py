@@ -21,8 +21,6 @@ _EXPORTS = {
     "weyl": (
         "WeylElement",
         "WeylGroup",
-        "bruhat_covers_below",
-        "bruhat_leq",
         "from_line_notation",
         "from_word",
         "identity",
@@ -55,7 +53,6 @@ _EXPORTS = {
         "orbit_dimension",
         "orbit_pair_params",
         "perm_from_olp",
-        "q_stat",
         "seq_S",
         "type_a_datum",
     ),

@@ -173,6 +173,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
         n, r = _parse_nr(args.nr)
         try:
+            if n != datum.system.rank + 1:
+                raise ValueError(f"n must be rank + 1 = {datum.system.rank + 1}")
             for label, node in (("lhs", wp), ("rhs", w)):
                 line = to_line_notation(node.rep)
                 lines.append(

@@ -123,31 +123,6 @@ def matrix_from_olp(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
 # -- statistics ----------------------------------------------------------
 
 
-def p_stat(d: OrientedLinkPattern, k: int) -> int:
-    """p_k: free vertices <= k plus arrow targets <= k."""
-    if not 0 <= k <= d.n:
-        raise IndexError("index out of range")
-    touched = {v for a in d.arrows for v in a}
-    targets = {t for _, t in d.arrows}
-    free = sum(1 for v in range(1, k + 1) if v not in touched)
-    return free + sum(1 for t in targets if t <= k)
-
-
-def q_stat(d: OrientedLinkPattern, k: int, ell: int) -> int:
-    """q_{k,ell} = p_ell + #{arrows with source <= ell and target <= k}."""
-    if not (0 <= k <= d.n and 1 <= ell <= d.n):
-        raise IndexError("index out of range")
-    return p_stat(d, ell) + sum(1 for s, t in d.arrows if s <= ell and t <= k)
-
-
-def q_stat_linear_algebra(d: OrientedLinkPattern, k: int, ell: int) -> int:
-    """The same statistic as dim(V_ell ^ ker M) + dim(M V_ell ^ V_k)."""
-    sources = {s for s, _ in d.arrows}
-    ker_dim = sum(1 for v in range(1, ell + 1) if v not in sources)
-    img_dim = sum(1 for s, t in d.arrows if s <= ell and t <= k)
-    return ker_dim + img_dim
-
-
 @lru_cache(maxsize=None)
 def q_table(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
     """Rows k = 0..n of q_{k,ell}, ell = 1..n, from prefix counts: row 0 is

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .roots import Coords, Coweight, RootSystem
-from .weyl import WeylElement, identity, reflection
+from .roots import Coords, Coweight, RootSystem, highest_root
 
 CASES = ("D4", "B3", "C3", "B2long", "B2short", "G2both", "A1")
 
@@ -337,19 +336,6 @@ def _components(items: Sequence, adjacent: Callable[..., bool]) -> List[list]:
     return comps
 
 
-def _component_highest(system: RootSystem, comp: List[Coords]) -> Coords:
-    pos = [v for v in comp if system.is_positive(v)]
-    cset = set(comp)
-    best = [
-        b
-        for b in pos
-        if all(tuple(x + y for x, y in zip(b, a)) not in cset for a in pos)
-    ]
-    if len(best) != 1:
-        raise AssertionError("component has no unique highest root")
-    return best[0]
-
-
 def chain_cascade(system: RootSystem, max_depth: Optional[int] = None) -> CascadeNode:
     """The cascade tree: each node branches once per irreducible component of
     the subsystem orthogonal to the chain chosen so far, through the
@@ -362,7 +348,7 @@ def chain_cascade(system: RootSystem, max_depth: Optional[int] = None) -> Cascad
         if max_depth is not None and depth >= max_depth:
             return node
         for comp in _components(pool, lambda a, b: system.form(a, b) != 0):
-            theta = _component_highest(system, comp)
+            theta = highest_root(comp)
             sub = [v for v in comp if system.form(v, theta) == 0]
             node.children.append(grow(chain + (theta,), sub, depth + 1))
         return node
@@ -447,15 +433,6 @@ def _subdiagram_type(system: RootSystem, indices: Sequence[int]) -> str:
     return f"D{n}" if ends >= 2 else f"E{n}"
 
 
-def involution_element(oset: OrthogonalSet) -> WeylElement:
-    """w = s_{theta_1} ... s_{theta_r}; on the span's orthogonal complement it
-    acts trivially, so the order of the factors does not matter."""
-    w = identity(oset.system)
-    for t in oset.thetas:
-        w = w * reflection(oset.system, t)
-    return w
-
-
 def levi_and_involution(oset: OrthogonalSet) -> InvolutionReport:
     """Levi simple roots (h = 0 wall), the action of s_{theta_1}...s_{theta_r}
     on them, and the folded type after identifying negated-swapped components."""
@@ -464,8 +441,8 @@ def levi_and_involution(oset: OrthogonalSet) -> InvolutionReport:
     levi = tuple(
         i for i in range(1, rs.rank + 1) if rs.coweight_value(h, rs.simple_root(i)) == 0
     )
-    w = involution_element(oset)
-    action = {i: w.apply(rs.simple_root(i)) for i in levi}
+    # the thetas are orthogonal, so their reflections commute
+    action = {i: reduce(rs.reflect, oset.thetas, rs.simple_root(i)) for i in levi}
     fixed = []
     swaps = []
     other = []

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .roots import RootSystem
-from .weyl import WeylElement, WeylGroup, simple_mask, weyl_group
+from .roots import RootSystem, strip_descents
+from .weyl import WeylElement, WeylGroup, parabolic_decompose, simple_mask, weyl_group
 
 
 class IJKDatum:
@@ -151,7 +151,7 @@ class IJKDatum:
         v in W_I, and l(u_I v^{-1}) = l(u_I) + l(v).
         """
         g = self.group
-        _, letters = g.strip_descents(g.idx(u), self._l_mask)
+        letters, _ = strip_descents(self.system.bonds, u.x, self._l_mask)
         # the parts commute, so each part's letters spell a reduced word of it
         word = letters[::-1]
         word_i = [i for i in word if i in self.star_map]
@@ -194,14 +194,14 @@ class QuotientElement:
         k = g.idx(rep)
         if g.descents[k] & datum._jk_mask:
             raise ValueError("representative has a right descent in J u K")
-        upper, letters = g.strip_descents(k, datum._l_mask)
-        if any(i not in datum.I for i in letters):
+        upper, lower = (g.idx(v) for v in parabolic_decompose(rep, datum.L))
+        if lower not in datum._star:
             raise AssertionError("W_L part of a quotient element is not in W_I")
-        lower = g.apply_word(0, letters[::-1])
         self.datum = datum
         self.idx = k
         self.w2_idx = lower
         self.rep = g.elements[k]
+        # the group's own elements, whose reduced words are cached
         self.w1, self.w2 = g.elements[upper], g.elements[lower]
 
     def __eq__(self, other: object) -> bool:

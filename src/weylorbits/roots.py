@@ -6,7 +6,7 @@ Simple roots are numbered as in Bourbaki for every family; in particular the
 branch node of E6/E7/E8 is alpha_4 with alpha_2 hanging off it, B_n has the
 short simple root last and C_n the long simple root last. The simple
 reflection kernel on coweights (coweight_reflect, strip_descents) is shared
-with weyl, which keys group elements by coweights.
+with weyl, which keys group elements by coweights, and with quotient.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 Coords = Tuple[int, ...]
 
@@ -134,11 +134,26 @@ def strip_descents(
     idx = range(len(x)) if mask is None else [i for i in range(len(x)) if mask >> i & 1]
     letters: List[int] = []
     while True:
-        i = next((i for i in idx if x[i] < 0), None)
-        if i is None:
+        for i in idx:  # a plain loop: a generator per step costs twice as much
+            if x[i] < 0:
+                break
+        else:
             return letters, x
         letters.append(i + 1)
         x = coweight_reflect(bonds, x, i)
+
+
+def highest_root(roots: Collection[Coords]) -> Coords:
+    """The highest root of an irreducible root system, given as its set of
+    roots: the one positive root b with b + a outside the set for every
+    positive root a. ValueError when there is not exactly one, as for a
+    reducible set, which has one such root per component."""
+    rset = set(roots)
+    pos = [v for v in roots if all(x >= 0 for x in v)]
+    best = [b for b in pos if all(tuple(map(add, b, a)) not in rset for a in pos)]
+    if len(best) != 1:
+        raise ValueError("root set has no unique highest root")
+    return best[0]
 
 
 @dataclass(frozen=True)
@@ -181,7 +196,7 @@ class RootSystem:
         self.positive_roots: Tuple[Coords, ...] = tuple(
             r for r in self.roots if self.is_positive(r)
         )
-        self.highest_root: Coords = self._highest()
+        self.highest_root: Coords = highest_root(self.roots)
         # the highest root of an irreducible system is long
         self.long_norm = self.norms[self.highest_root]
         self._span_memo: Optional[tuple] = None  # see span_membership
@@ -208,23 +223,6 @@ class RootSystem:
             frontier = nxt
         norms.update({tuple(-x for x in v): m for v, m in list(norms.items())})
         return norms
-
-    def _highest(self) -> Coords:
-        best = None
-        for b in self.positive_roots:
-            if all(
-                tuple(x + y for x, y in zip(b, a)) not in self.root_set
-                for a in (
-                    tuple(1 if j == i else 0 for j in range(self.rank))
-                    for i in range(self.rank)
-                )
-            ):
-                if best is not None:
-                    raise ValueError("reducible system has no unique highest root")
-                best = b
-        if best is None:
-            raise AssertionError("root system has no highest root")
-        return best
 
     # -- basic predicates ---------------------------------------------------
 

@@ -36,14 +36,13 @@ class CapExceededError(RuntimeError):
 class WeylElement:
     """A Weyl group element w, keyed by x = w^{-1}(rho^vee)."""
 
-    __slots__ = ("system", "x", "_hash", "_word", "_matrix")
+    __slots__ = ("system", "x", "_hash", "_word")
 
     def __init__(self, system: RootSystem, x: Coords):
         self.system = system
         self.x = x
         self._hash = hash(x)
         self._word: Optional[Tuple[int, ...]] = None
-        self._matrix: Optional[Tuple[Coords, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.x == other.x
@@ -54,15 +53,6 @@ class WeylElement:
     def __repr__(self) -> str:
         word = self.reduced_word()
         return "e" if not word else " ".join(f"s{i}" for i in word)
-
-    @property
-    def matrix(self) -> Tuple[Coords, ...]:
-        """Action matrix on the root lattice; column j is w(alpha_j)."""
-        if self._matrix is None:
-            rs = self.system
-            cols = [self.apply(rs.simple_root(j + 1)) for j in range(rs.rank)]
-            self._matrix = tuple(zip(*cols))
-        return self._matrix
 
     def _letters(self) -> List[int]:
         """Letters p_1..p_k with w = s_{p_k} ... s_{p_1}."""
@@ -252,20 +242,6 @@ class WeylGroup:
         """Index of u * v."""
         return self.apply_word(u, self.words[v])
 
-    def strip_descents(self, k: int, mask: int) -> Tuple[int, List[int]]:
-        """Remove right descents in `mask` (smallest first) until none is left.
-
-        Returns the index of the remaining element u and the 1-based letters
-        p_1..p_m removed, so that k = u * s_{p_m} ... s_{p_1}.
-        """
-        letters: List[int] = []
-        descents, right_mul = self.descents, self.right_mul
-        while descents[k] & mask:
-            d = _lowest_bit(descents[k] & mask)
-            letters.append(d + 1)
-            k = right_mul[k][d]
-        return k, letters
-
     def subgroup_indices(self, L: Iterable[int]) -> List[int]:
         """Indices of the standard parabolic W_L, breadth-first by length."""
         mask = simple_mask(self.system.rank, L)
@@ -370,11 +346,3 @@ def weyl_group(system: RootSystem, cap: Optional[int] = None) -> WeylGroup:
     elif cap is not None and len(group) > cap:
         raise CapExceededError(cap)
     return group
-
-
-def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    return weyl_group(u.system).bruhat_leq(u, w)
-
-
-def bruhat_covers_below(w: WeylElement) -> List[WeylElement]:
-    return weyl_group(w.system).bruhat_covers_below(w)

@@ -44,6 +44,8 @@ HIGHEST_ROOTS = (
     ("B", 5, "1 2 2 2 2"),  # B3 x A1
 )
 
+LEVI_E6 = ("1 1 2 2 2 1", "1 1 1 2 1 1", "0 1 1 2 1 0")
+
 
 def _datum_args(f, r, I, J, K):
     return ["--type", f, "--rank", str(r), "--I", I, "--J", J] + (["--K", K] if K else [])
@@ -58,8 +60,8 @@ def cases():
     for n in range(1, 7):
         for r in range(n // 2 + 1):
             out.append((f"orbits-n{n}-r{r}.text", ["orbits", "--n", str(n), "--r", str(r)]))
-    for r in (2, 3):
-        out.append((f"orbits-n7-r{r}.text", ["orbits", "--n", "7", "--r", str(r)]))
+    for n, r in ((7, 2), (7, 3), (8, 2), (8, 4)):
+        out.append((f"orbits-n{n}-r{r}.text", ["orbits", "--n", str(n), "--r", str(r)]))
     for rank in (7, 8):
         out.append((f"cascade-E{rank}.text", ["cascade", "--type", "E", "--rank", str(rank)]))
     for k, (f, r, roots) in enumerate(CLASSIFY):
@@ -67,6 +69,8 @@ def cases():
             out.append((f"classify-{k}-{f}{r}.{fmt}", ["classify", "--type", f, "--rank", str(r), "--format", fmt, *roots]))
     for f, r, root in HIGHEST_ROOTS:
         out.append((f"classify-highest-{f}{r}.text", ["classify", "--type", f, "--rank", str(r), root]))
+    # the Levi [1, 2, 3, 5, 6] with two negated swaps, folded A2 x A1
+    out.append(("classify-levi-E6.text", ["classify", "--type", "E", "--rank", "6", *LEVI_E6]))
     out.append((
         "compare-A3-perm-nr.text",
         ["compare"] + _datum_args("A", 3, "1", "3", "") + ["--perm", "--nr", "4 2", "1 2 3 4", "4 3 1 2"],

@@ -7,9 +7,10 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from weylorbits.linkpatterns import OrientedLinkPattern, matrix_from_olp
+from weylorbits.nilpotent import OrthogonalSet
 from weylorbits.quotient import IJKDatum, QuotientElement
 from weylorbits.roots import Coords, Coweight, RootSystem
-from weylorbits.weyl import WeylElement, from_word
+from weylorbits.weyl import WeylElement, from_word, identity, reflection
 
 # every supported (family, rank) of rank at most 8
 ALL_SYSTEMS = (
@@ -36,6 +37,23 @@ def positive_definite(m: Sequence[Sequence[int]]) -> bool:
             for j in range(k, n):
                 work[i][j] -= f * work[k][j]
     return True
+
+
+def action_matrix(w: WeylElement) -> Tuple[Coords, ...]:
+    """Matrix of w on the root lattice; column j is w(alpha_j). Keys sets of
+    elements independently of the coweight key."""
+    rs = w.system
+    return tuple(zip(*(w.apply(rs.simple_root(j + 1)) for j in range(rs.rank))))
+
+
+def involution_element(oset: OrthogonalSet) -> WeylElement:
+    """w = s_{theta_1} ... s_{theta_r} as a group element; on the span's
+    orthogonal complement it acts trivially, so the order of the factors
+    does not matter."""
+    w = identity(oset.system)
+    for t in oset.thetas:
+        w = w * reflection(oset.system, t)
+    return w
 
 
 def bruhat_leq_subword(u: WeylElement, w: WeylElement) -> bool:
@@ -80,6 +98,31 @@ def covers_naive(
         for j in below
         if not any(k != j and leq[j][k] and leq[k][i] for k in below)
     ]
+
+
+def p_stat(d: OrientedLinkPattern, k: int) -> int:
+    """p_k: free vertices <= k plus arrow targets <= k."""
+    if not 0 <= k <= d.n:
+        raise IndexError("index out of range")
+    touched = {v for a in d.arrows for v in a}
+    targets = {t for _, t in d.arrows}
+    free = sum(1 for v in range(1, k + 1) if v not in touched)
+    return free + sum(1 for t in targets if t <= k)
+
+
+def q_stat(d: OrientedLinkPattern, k: int, ell: int) -> int:
+    """q_{k,ell} = p_ell + #{arrows with source <= ell and target <= k}."""
+    if not (0 <= k <= d.n and 1 <= ell <= d.n):
+        raise IndexError("index out of range")
+    return p_stat(d, ell) + sum(1 for s, t in d.arrows if s <= ell and t <= k)
+
+
+def q_stat_linear_algebra(d: OrientedLinkPattern, k: int, ell: int) -> int:
+    """The same statistic as dim(V_ell ^ ker M) + dim(M V_ell ^ V_k)."""
+    sources = {s for s, _ in d.arrows}
+    ker_dim = sum(1 for v in range(1, ell + 1) if v not in sources)
+    img_dim = sum(1 for s, t in d.arrows if s <= ell and t <= k)
+    return ker_dim + img_dim
 
 
 def stabilizer_dimension(partition: Sequence[int]) -> int:

@@ -20,7 +20,6 @@ from weylorbits.nilpotent import (
     chain_cascade,
     grading_dimensions,
     height_of_sum,
-    involution_element,
     is_rationally_orthogonal,
     is_spherical,
     levi_and_involution,
@@ -33,7 +32,13 @@ from weylorbits.quotient import IJKDatum, build_poset, covers_O_below, leq_O, mi
 from weylorbits.roots import Coweight, build_root_system
 from weylorbits.weyl import from_word, to_line_notation, weyl_group
 
-from oracles import covers_naive, leq_O_full_coset, stabilizer_dimension
+from oracles import (
+    action_matrix,
+    covers_naive,
+    involution_element,
+    leq_O_full_coset,
+    stabilizer_dimension,
+)
 
 
 @contextmanager
@@ -86,8 +91,8 @@ def test_criterion_01_figure_poset():
             [1, 3, 2, 1],
             [2, 3, 2, 1, 2],
         )
-        expected = {from_word(a3, w).matrix for w in words}
-        assert {n.rep.matrix for n in poset.nodes} == expected
+        expected = {action_matrix(from_word(a3, w)) for w in words}
+        assert {action_matrix(n.rep) for n in poset.nodes} == expected
         r1 = [i for i, n in enumerate(poset.nodes) if n.length() == 1]
         r2 = [i for i, n in enumerate(poset.nodes) if n.length() == 2]
         edge_set = set(poset.edges)

@@ -242,6 +242,13 @@ def test_compare_nr_outside_type_a(capsys, nr):
     )
 
 
+def test_compare_nr_n_must_match_rank(capsys):
+    # S_4 needs n = 4; an n that is not rank + 1 is a usage error
+    _assert_usage_error(
+        capsys, "compare", *FIG_ARGS, "--perm", "--nr", "99 2", "1 2 3 4", "4 3 1 2"
+    )
+
+
 def test_cascade_negative_depth(capsys):
     _assert_usage_error(capsys, "cascade", "--type", "A", "--rank", "3", "--depth", "-1")
 

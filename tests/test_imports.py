@@ -45,6 +45,14 @@ def test_package_import_loads_no_layer():
     assert loaded == []
 
 
+def test_nilpotent_needs_only_roots():
+    loaded = _child(
+        "import sys, weylorbits.nilpotent\n"
+        "print(repr(sorted(m for m in sys.modules if m.startswith('weylorbits'))))"
+    )
+    assert loaded == ["weylorbits", "weylorbits.nilpotent", "weylorbits.roots"]
+
+
 A3 = ("--type", "A", "--rank", "3", "--I", "1", "--J", "3")
 BASE = ["weylorbits.cli", "weylorbits.roots", "weylorbits.weyl"]
 QUOTIENT = sorted(BASE + ["weylorbits.quotient"])

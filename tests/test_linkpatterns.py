@@ -15,10 +15,7 @@ from weylorbits.linkpatterns import (
     olp_from_perm,
     orbit_dimension,
     orbit_pair_params,
-    p_stat,
     perm_from_olp,
-    q_stat,
-    q_stat_linear_algebra,
     q_table,
     rank_stat,
     rank_table,
@@ -28,7 +25,14 @@ from weylorbits.linkpatterns import (
 from weylorbits.quotient import leq_O
 from weylorbits.weyl import to_line_notation
 
-from oracles import centralizer_orbit_dimension, covers_naive, rational_rank_stat
+from oracles import (
+    centralizer_orbit_dimension,
+    covers_naive,
+    p_stat,
+    q_stat,
+    q_stat_linear_algebra,
+    rational_rank_stat,
+)
 
 
 def test_pattern_validation():

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +15,6 @@ from weylorbits.nilpotent import (
     classify_combination,
     grading_dimensions,
     height_of_sum,
-    involution_element,
     is_rationally_orthogonal,
     is_spherical,
     is_strongly_orthogonal,
@@ -28,7 +28,7 @@ from weylorbits.nilpotent import (
 from weylorbits.roots import CLASSICAL_COUNTS, Coweight, RootSystem, build_root_system
 from weylorbits.weyl import from_word, reflection
 
-from oracles import ALL_SYSTEMS, stabilizer_dimension
+from oracles import ALL_SYSTEMS, involution_element, stabilizer_dimension
 
 
 def neg(v):
@@ -402,6 +402,46 @@ def test_involution_e6_3a1():
     assert sigma.apply(e6.simple_root(3)) == neg(e6.simple_root(5))
     assert sigma.apply(e6.simple_root(2)) == e6.simple_root(2)
     assert report.folded_type == ("A2", "A1")
+
+
+def _assert_sigma_action_is_the_involution(oset):
+    report = levi_and_involution(oset)
+    sigma = involution_element(oset)
+    for i in report.levi_simple_roots:
+        alpha = oset.system.simple_root(i)
+        assert report.sigma_action[i] == sigma.apply(alpha), (oset.thetas, i)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2)])
+def test_sigma_action_matches_involution_element(family, rank):
+    # every orthogonal set of at most 4 roots, with every choice of signs
+    rs = build_root_system(family, rank)
+    for subset in orthogonal_subsets(rs, 4):
+        for signs in product((1, -1), repeat=len(subset)):
+            thetas = tuple(t if s > 0 else neg(t) for s, t in zip(signs, subset))
+            _assert_sigma_action_is_the_involution(OrthogonalSet(rs, thetas))
+
+
+def _random_orthogonal_set(rs, size, rng):
+    """A random orthogonal set of the given size, grown one root at a time."""
+    while True:
+        thetas = []
+        pool = list(rs.roots)
+        while len(thetas) < size and pool:
+            t = rng.choice(pool)
+            thetas.append(t)
+            pool = [v for v in pool if rs.form(v, t) == 0]
+        if len(thetas) == size:
+            return OrthogonalSet(rs, tuple(thetas))
+
+
+@pytest.mark.parametrize("rank,max_size", [(6, 4), (7, 7), (8, 8)])
+def test_sigma_action_matches_involution_element_exceptional(rank, max_size):
+    rs = build_root_system("E", rank)
+    rng = random.Random(rank)
+    for size in range(1, max_size + 1):
+        for _ in range(4):
+            _assert_sigma_action_is_the_involution(_random_orthogonal_set(rs, size, rng))
 
 
 def test_classify_report(b3):

@@ -16,7 +16,7 @@ from weylorbits.quotient import (
 from weylorbits.roots import build_root_system
 from weylorbits.weyl import from_word, identity, weyl_group
 
-from oracles import covers_naive, leq_O_full_coset
+from oracles import action_matrix, covers_naive, leq_O_full_coset
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +145,10 @@ def test_member_of_M(datum, a3):
             assert datum.member_of_M(u)
     # the M membership test recovers exactly the union of the Min sets
     all_min = {
-        u.matrix for node in datum.quotient_elements() for u in min_set(node)
+        action_matrix(u) for node in datum.quotient_elements() for u in min_set(node)
     }
     for w in weyl_group(a3).elements:
-        assert datum.member_of_M(w) == (w.matrix in all_min)
+        assert datum.member_of_M(w) == (action_matrix(w) in all_min)
 
 
 def test_covers_O(datum, a3):
@@ -185,7 +185,7 @@ def test_build_poset_figure(datum, a3):
     assert len(poset.edges) == 22
     assert poset.rank_profile() == (1, 2, 3, 3, 2, 1)
     expected = {
-        from_word(a3, word).matrix
+        action_matrix(from_word(a3, word))
         for word in (
             [],
             [2],
@@ -201,7 +201,7 @@ def test_build_poset_figure(datum, a3):
             [2, 3, 2, 1, 2],
         )
     }
-    assert {n.rep.matrix for n in poset.nodes} == expected
+    assert {action_matrix(n.rep) for n in poset.nodes} == expected
     # rank 1 -> 2 edges form the complete bipartite graph
     r1 = [i for i, n in enumerate(poset.nodes) if n.length() == 1]
     r2 = [i for i, n in enumerate(poset.nodes) if n.length() == 2]
@@ -217,10 +217,10 @@ def test_poset_trivial_datum(a3):
     poset = build_poset(datum)
     assert len(poset.nodes) == 24
     g = weyl_group(a3)
-    index = {n.rep.matrix: i for i, n in enumerate(poset.nodes)}
+    index = {action_matrix(n.rep): i for i, n in enumerate(poset.nodes)}
     for w in g.elements:
         for u in g.bruhat_covers_below(w):
-            assert (index[u.matrix], index[w.matrix]) in set(poset.edges)
+            assert (index[action_matrix(u)], index[action_matrix(w)]) in set(poset.edges)
 
 
 def test_poset_serialization(datum):

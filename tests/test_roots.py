@@ -10,6 +10,7 @@ from weylorbits.roots import (
     RootSystem,
     build_root_system,
     cartan_matrix,
+    highest_root,
     symmetrizer,
 )
 
@@ -253,3 +254,20 @@ def test_highest_root_property():
         for i in range(1, rank + 1):
             s = tuple(x + y for x, y in zip(th, rs.simple_root(i)))
             assert not rs.is_root(s)
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_highest_root_is_the_unique_root_of_greatest_height(family, rank):
+    rs = build_root_system(family, rank)
+    heights = sorted(sum(b) for b in rs.positive_roots)
+    assert sum(rs.highest_root) == heights[-1] and heights.count(heights[-1]) == 1
+
+
+def test_highest_root_of_a_reducible_set_raises():
+    # in B2, alpha_1 and alpha_1 + 2 alpha_2 are orthogonal long roots: A1 x A1
+    b2 = build_root_system("B", 2)
+    a, b = b2.simple_root(1), (1, 2)
+    assert b2.is_root(b) and b2.form(a, b) == 0
+    with pytest.raises(ValueError):
+        highest_root([a, tuple(-x for x in a), b, tuple(-x for x in b)])
+    assert highest_root(b2.roots) == b2.highest_root == b
