@@ -51,9 +51,12 @@ def _parse_star(text: str) -> Dict[int, int]:
     for piece in text.replace(",", " ").split():
         a, _, b = piece.partition(":")
         try:
-            star[int(a)] = int(b)
+            source, target = int(a), int(b)
         except ValueError as exc:
             raise UsageError(f"cannot parse star pair {piece!r}; expected i:j") from exc
+        if source in star:
+            raise UsageError(f"--star maps {source} twice")
+        star[source] = target
     return star
 
 

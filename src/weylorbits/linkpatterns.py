@@ -16,7 +16,7 @@ from typing import FrozenSet, List, Sequence, Tuple
 
 from .roots import build_root_system
 from .quotient import IJKDatum
-from .weyl import to_line_notation
+from .weyl import parabolic_decompose, to_line_notation
 
 Arrow = Tuple[int, int]
 
@@ -287,15 +287,19 @@ def orbit_pair_params(
         # I = J = {} and K = {1..n-1}: a single coset, the identity row
         line = tuple(range(1, n + 1))
         return [((line, line), line, base)]
+    datum = type_a_datum(n, r)
+    g = datum.group
     out = []
-    for node in type_a_datum(n, r).quotient_elements():
-        w1, w2 = node.w1, node.w2
-        dim = w1.length() + w2.length() + base
+    for node in datum.quotient_elements():
+        # w = w1 w2 with w2 in W_I; the inverses come from the group's table
+        w1, w2 = (g.idx(v) for v in parabolic_decompose(node.rep, datum.L))
+        if not set(g.words[w2]) <= set(datum.I):
+            raise AssertionError("W_L part of a quotient element is not in W_I")
         out.append(
             (
-                (to_line_notation(w1.inv()), to_line_notation(w2.inv())),
+                tuple(to_line_notation(g.elements[g.inverse[k]]) for k in (w1, w2)),
                 to_line_notation(node.rep),
-                dim,
+                node.length() + base,  # l(w) = l(w1) + l(w2)
             )
         )
     return out

@@ -3,7 +3,10 @@
 W(I,J,K) = W^{J u K} is a transversal of the cosets w W_K W_{I,J} where
 W_{I,J} = {x x* : x in W_I} is the diagonal twisted by the star isomorphism
 I -> J. The order w' <=_O w holds iff some member of [w'] is Bruhat-below w;
-it is computed through the Bruhat-minimal coset members Min(w').
+it is computed through the least-length coset members Min(w').
+Canonical representatives, the union M of the Min sets and the Min sets
+follow from u = u^L a_I a_J a_K, u^L in W^L, L = I u J u K (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.4.4), without a coset scan.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .roots import RootSystem, strip_descents
-from .weyl import WeylElement, WeylGroup, parabolic_decompose, simple_mask, weyl_group
+from .roots import RootSystem, coweight_reflect, strip_descents
+from .weyl import WeylElement, WeylGroup, simple_mask, weyl_group
 
 
 class IJKDatum:
@@ -124,15 +127,28 @@ class IJKDatum:
         """[w] = {w a x x* : a in W_K, x in W_I}; size |W_K| * |W_I|."""
         return [self.group.elements[u] for u in self._coset(self.group.idx(w))]
 
+    def _check_system(self, w: WeylElement) -> None:
+        if (w.system.family, w.system.rank) != (self.system.family, self.system.rank):
+            raise ValueError("element of another root system than the datum's")
+
+    def _rep_index(self, u: WeylElement) -> int:
+        """Index of the least member of [u], the one with no right descent in
+        J u K: u^L a_I y^{-1} for u = u^L a_I a_J a_K (commuting parts, each
+        spelled by its own letters) and y in W_I with y* = a_J."""
+        self._check_system(u)
+        bonds = self.system.bonds
+        letters, x = strip_descents(bonds, u.x, self._l_mask)
+        for i in reversed(letters):
+            if i in self.star_map:
+                x = coweight_reflect(bonds, x, i - 1)
+        for j in letters:  # y^{-1} is a_J reversed, unstarred
+            if j in self._unstar:
+                x = coweight_reflect(bonds, x, self._unstar[j] - 1)
+        return self.group.index[x]
+
     def canonical_rep(self, w: WeylElement) -> "QuotientElement":
         """The unique member of [w] with no right descent in J u K."""
-        g = self.group
-        hits = [
-            u for u in self._coset(g.idx(w)) if not g.descents[u] & self._jk_mask
-        ]
-        if len(hits) != 1:
-            raise AssertionError("coset transversal property violated")
-        return QuotientElement(self, g.elements[hits[0]])
+        return QuotientElement(self, self.group.elements[self._rep_index(w)])
 
     def quotient_elements(self) -> List["QuotientElement"]:
         """All of W(I,J,K) = W^{J u K}, by (length, reduced word)."""
@@ -144,65 +160,35 @@ class IJKDatum:
     # -- membership in the union of Min sets ---------------------------------
 
     def member_of_M(self, u: WeylElement) -> bool:
-        """True iff u lies in Min(w) for some w.
-
-        Tested through the W_L part of u (L = I u J u K): writing the I, J, K
-        components as u_I, u_J, u_K, one needs u_K trivial, u_J = v* with
-        v in W_I, and l(u_I v^{-1}) = l(u_I) + l(v).
-        """
-        g = self.group
-        letters, _ = strip_descents(self.system.bonds, u.x, self._l_mask)
-        # the parts commute, so each part's letters spell a reduced word of it
-        word = letters[::-1]
-        word_i = [i for i in word if i in self.star_map]
-        word_j = [i for i in word if i in self._unstar]
-        if len(word_i) + len(word_j) != len(word):
-            return False  # nontrivial K component
-        u_i = g.apply_word(0, word_i)
-        u_j = g.apply_word(0, word_j)
-        v = g.apply_word(0, [self._unstar[i] for i in word_j])
-        if self._star[v] != u_j:
-            return False
-        lengths = g.lengths
-        return lengths[g.product(u_i, g.inverse[v])] == lengths[u_i] + lengths[v]
+        """True iff u lies in Min(w) for some w: the cosets partition W, so
+        iff u is as short as the transversal member of its coset."""
+        return self.group.lengths[self._rep_index(u)] == u.length()
 
     def _min_indices(self, w: "QuotientElement") -> List[int]:
         """Min(w) as group indices, cached per representative."""
         cached = self._min_cache.get(w.idx)
         if cached is None:
             g = self.group
-            lengths = g.lengths
-            w2 = w.w2_idx
-            cached = [
-                g.product(w.idx, xx)
-                for x, xx in zip(self._w_i, self._diag)
-                if lengths[g.product(w2, x)] + lengths[x] == lengths[w2]
-            ]
-            if any(lengths[u] != lengths[w.idx] for u in cached):
-                raise AssertionError("Min(w) has a member of another length")
+            products = (g.product(w.idx, xx) for xx in self._diag)
+            cached = [u for u in products if g.lengths[u] == g.lengths[w.idx]]
             self._min_cache[w.idx] = cached
         return cached
 
 
 class QuotientElement:
-    """An element of W(I,J,K) with its cached parabolic factorization."""
+    """An element of W(I,J,K), held as the group's own element and index."""
 
-    __slots__ = ("datum", "rep", "w1", "w2", "idx", "w2_idx")
+    __slots__ = ("datum", "rep", "idx")
 
     def __init__(self, datum: IJKDatum, rep: WeylElement):
+        datum._check_system(rep)
         g = datum.group
         k = g.idx(rep)
         if g.descents[k] & datum._jk_mask:
             raise ValueError("representative has a right descent in J u K")
-        upper, lower = (g.idx(v) for v in parabolic_decompose(rep, datum.L))
-        if lower not in datum._star:
-            raise AssertionError("W_L part of a quotient element is not in W_I")
         self.datum = datum
         self.idx = k
-        self.w2_idx = lower
         self.rep = g.elements[k]
-        # the group's own elements, whose reduced words are cached
-        self.w1, self.w2 = g.elements[upper], g.elements[lower]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuotientElement) and self.rep == other.rep
@@ -218,7 +204,7 @@ class QuotientElement:
 
 
 def min_set(w: QuotientElement) -> List[WeylElement]:
-    """Min(w) = {w x x* : x in W_I, l(w2 x) + l(x) = l(w2)}."""
+    """Min(w) = {w x x* : x in W_I, l(w x x*) = l(w)}, least in [w]."""
     elements = w.datum.group.elements
     return [elements[u] for u in w.datum._min_indices(w)]
 
@@ -226,12 +212,8 @@ def min_set(w: QuotientElement) -> List[WeylElement]:
 def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
     """w' <=_O w iff some element of Min(w') is Bruhat-below w."""
     d1, d2 = wp.datum, w.datum
-    if d1 is not d2 and (d1.system, d1.I, d1.J, d1.K, d1.star_map) != (
-        d2.system,
-        d2.I,
-        d2.J,
-        d2.K,
-        d2.star_map,
+    if d1 is not d2 and any(
+        getattr(d1, a) != getattr(d2, a) for a in ("system", "I", "J", "K", "star_map")
     ):
         raise ValueError("elements from different data")
     group = w.datum.group
@@ -241,15 +223,13 @@ def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
 def covers_O_below(w: QuotientElement) -> List[QuotientElement]:
     """All w' covered by w: Bruhat covers below w that lie in some Min set."""
     datum = w.datum
-    group = datum.group
     out = []
     seen = set()
-    for u in group.bruhat_covers_below(w.rep):
-        if datum.member_of_M(u):
-            wp = datum.canonical_rep(u)
-            if wp.idx not in seen:
-                seen.add(wp.idx)
-                out.append(wp)
+    for u in datum.group.bruhat_covers_below(w.rep):
+        wp = datum.canonical_rep(u)
+        if wp.length() == u.length() and wp.idx not in seen:
+            seen.add(wp.idx)
+            out.append(wp)
     if any(wp.length() != w.length() - 1 for wp in out):
         raise AssertionError("a cover below w is not one rank lower")
     return out

@@ -44,11 +44,16 @@ HIGHEST_ROOTS = (
     ("B", 5, "1 2 2 2 2"),  # B3 x A1
 )
 
+# |I| = 2 with a star that reverses the diagram: pins the letter order of the
+# transversal u^L a_I y^{-1} with y* = a_J
+A5_REVERSED = ("A", 5, "1 2", "4 5", "", "1:5 2:4")
+
 LEVI_E6 = ("1 1 2 2 2 1", "1 1 1 2 1 1", "0 1 1 2 1 0")
 
 
-def _datum_args(f, r, I, J, K):
-    return ["--type", f, "--rank", str(r), "--I", I, "--J", J] + (["--K", K] if K else [])
+def _datum_args(f, r, I, J, K, star=""):
+    out = ["--type", f, "--rank", str(r), "--I", I, "--J", J] + (["--K", K] if K else [])
+    return out + (["--star", star] if star else [])
 
 
 def cases():
@@ -57,6 +62,7 @@ def cases():
         tag = f"{f}{r}-I{I}-J{J}" + (f"-K{K}" if K else "")
         for fmt in ("text", "json", "dot"):
             out.append((f"poset-{tag}.{fmt}", ["poset"] + _datum_args(f, r, I, J, K) + ["--format", fmt]))
+    out.append(("poset-A5-I12-J45-star-reversed.text", ["poset"] + _datum_args(*A5_REVERSED)))
     for n in range(1, 7):
         for r in range(n // 2 + 1):
             out.append((f"orbits-n{n}-r{r}.text", ["orbits", "--n", str(n), "--r", str(r)]))
@@ -79,6 +85,9 @@ def cases():
         ("D4", ("D", 4, "1", "3", ""), "2 1", "3 2 1 4 2 3"),
         ("A5-K3", ("A", 5, "1", "5", "3"), "2 1 3", "4 3 2 1 5 4"),
         ("A5-K3-incomparable", ("A", 5, "1", "5", "3"), "1 2 3 4 5", "2 1 3 4 5 4 3 2 1"),
+        ("A5-star-reversed", A5_REVERSED, "2 1 3 4 5 4", "1 2 3 4 5 1 2"),
+        ("A5-star-reversed-incomparable", A5_REVERSED, "4 5 3 2", "1 2 1 3 4"),
+        ("B5-K5", ("B", 5, "1", "3", "5"), "2 3 4 5 4 3 2 1", "1 2 3 4 5 4 3 2 1 2"),
     ):
         out.append((f"compare-{tag}.text", ["compare"] + _datum_args(*spec) + [lhs, rhs]))
     out.append(("selftest.text", ["selftest"]))

@@ -88,6 +88,13 @@ def leq_O_full_coset(wp: QuotientElement, w: QuotientElement) -> bool:
     )
 
 
+def canonical_rep_by_scan(datum: IJKDatum, w: WeylElement) -> List[WeylElement]:
+    """The members of the full coset [w] with no right descent in J u K;
+    a transversal has exactly one."""
+    jk = set(datum.J + datum.K)
+    return [u for u in datum.coset(w) if not jk & set(u.right_descents())]
+
+
 def covers_naive(
     nodes: List[QuotientElement], leq: List[List[bool]], i: int
 ) -> List[int]:

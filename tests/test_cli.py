@@ -219,6 +219,14 @@ def test_bad_star_pair(capsys):
     _assert_usage_error(capsys, "poset", *FIG_ARGS, "--star", "x:y")
 
 
+def test_star_repeated_source(capsys):
+    # the last pair must not silently win
+    _assert_usage_error(
+        capsys, "poset", "--type", "A", "--rank", "5", "--I", "1", "--J", "5", "--K", "3",
+        "--star", "1:3 1:5",
+    )
+
+
 def test_perm_not_a_permutation(capsys):
     _assert_usage_error(capsys, "compare", *FIG_ARGS, "--perm", "1 1 2 3", "1 2 3 4")
 

@@ -14,9 +14,9 @@ from weylorbits.quotient import (
     min_set,
 )
 from weylorbits.roots import build_root_system
-from weylorbits.weyl import from_word, identity, weyl_group
+from weylorbits.weyl import from_word, identity, parabolic_decompose, weyl_group
 
-from oracles import action_matrix, covers_naive, leq_O_full_coset
+from oracles import action_matrix, canonical_rep_by_scan, covers_naive, leq_O_full_coset
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,53 @@ def test_canonical_rep(datum, a3):
     assert datum.canonical_rep(from_word(a3, [1, 3])).rep.is_identity()
 
 
+# CRITERION_4_DATA, |I| = 2 with the default and the reversing star, a K in
+# B5, and F4: (family, rank, I, J, K, star)
+SCAN_DATA = (
+    pytest.param("A", 3, (1,), (3,), (), None, id="A3"),
+    pytest.param("A", 5, (1,), (5,), (3,), None, id="A5-K3"),
+    pytest.param("B", 4, (1,), (3,), (), None, id="B4"),
+    pytest.param("D", 4, (1,), (3,), (), None, id="D4"),
+    pytest.param("A", 5, (1, 2), (4, 5), (), None, id="A5-I12"),
+    pytest.param("A", 5, (1, 2), (4, 5), (), {1: 5, 2: 4}, id="A5-I12-reversed"),
+    pytest.param("B", 5, (1,), (3,), (5,), None, id="B5-K5"),
+    pytest.param("F", 4, (1,), (4,), (), None, id="F4"),
+)
+
+
+@pytest.mark.parametrize("family,rank,I,J,K,star", SCAN_DATA)
+def test_transversal_against_coset_scan(family, rank, I, J, K, star):
+    datum = IJKDatum(build_root_system(family, rank), I, J, K, star)
+    for w in datum.group.elements:
+        least = min(u.length() for u in datum.coset(w))
+        assert [datum.canonical_rep(w).rep] == canonical_rep_by_scan(datum, w)
+        assert datum.member_of_M(w) == (w.length() == least)
+    for node in datum.quotient_elements():
+        coset = datum.coset(node.rep)
+        least = min(u.length() for u in coset)
+        assert min_set(node) == [u for u in coset if u.length() == least]
+
+
+@pytest.mark.parametrize("word", [[2, 1], [3, 2, 3]])
+def test_element_of_another_system_is_rejected(datum, word):
+    u = from_word(build_root_system("B", 3), word)
+    with pytest.raises(ValueError):
+        datum.canonical_rep(u)
+    with pytest.raises(ValueError):
+        datum.member_of_M(u)
+    with pytest.raises(ValueError):
+        QuotientElement(datum, u)
+
+
+def test_leq_O_rejects_elements_of_different_data(datum, a3):
+    w = datum.canonical_rep(from_word(a3, [2, 1]))
+    same = IJKDatum(a3, [1], [3])
+    assert leq_O(same.canonical_rep(from_word(a3, [2])), w)
+    other = IJKDatum(a3, [3], [1])
+    with pytest.raises(ValueError):
+        leq_O(other.canonical_rep(from_word(a3, [2])), w)
+
+
 def test_min_set(datum, a3):
     w = datum.canonical_rep(from_word(a3, [2, 1]))
     got = {u.reduced_word() for u in min_set(w)}
@@ -81,17 +128,18 @@ def test_min_set(datum, a3):
     # singleton exactly when w2 is trivial
     for node in datum.quotient_elements():
         ms = min_set(node)
-        assert (len(ms) == 1) == node.w2.is_identity()
+        _, w2 = parabolic_decompose(node.rep, datum.L)
+        assert (len(ms) == 1) == w2.is_identity()
         assert all(u.length() == node.length() for u in ms)
 
 
 def test_min_set_size_counts_weak_order(datum):
-    g = datum.group
     for node in datum.quotient_elements():
+        _, w2 = parabolic_decompose(node.rep, datum.L)
         below = [
             x
             for x in datum.w_i_elements()
-            if (node.w2 * x.inv()).length() + x.length() == node.w2.length()
+            if (w2 * x.inv()).length() + x.length() == w2.length()
         ]
         assert len(min_set(node)) == len(below)
 
@@ -263,6 +311,7 @@ QUOTIENT_DATA = (
     ("A", 5, (1,), (5,), (3,)),
     ("B", 4, (1,), (3,), ()),
     ("D", 4, (1,), (3,), ()),
+    ("A", 5, (1, 2), (4, 5), ()),  # W_I non-abelian
 )
 
 
