@@ -91,6 +91,12 @@ def cases():
     ):
         out.append((f"compare-{tag}.text", ["compare"] + _datum_args(*spec) + [lhs, rhs]))
     out.append(("selftest.text", ["selftest"]))
+    # the quotient walk over a triple bond (G2) and long/short letters (C3, F4)
+    out.append(("poset-G2-K1.text", ["poset", "--type", "G", "--rank", "2", "--K", "1"]))
+    out.append(("poset-C3-I1-J3.text", ["poset"] + _datum_args("C", 3, "1", "3", "")))
+    for tag, lhs, rhs in (("F4", "3 2 3 4", "2 1 3 2 3 4 3"), ("F4-incomparable", "2 1", "1 4 3")):
+        out.append((f"compare-{tag}.text", ["compare"] + _datum_args("F", 4, "1", "4", "") + [lhs, rhs]))
+    out.append(("selftest-coxeter-B3.text", ["selftest", "--coxeter", "B3"]))
     return out
 
 
