@@ -57,9 +57,13 @@ def olp_from_perm(w: Sequence[int], r: int) -> OrientedLinkPattern:
     n = len(w)
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError("input is not a permutation of 1..n")
-    if 2 * r > n:
-        raise ValueError("2r must not exceed n")
+    _check_r(n, r)
     return olp(n, [(w[n - r + i], w[i]) for i in range(r)])
+
+
+def _check_r(n: int, r: int) -> None:
+    if not 0 <= 2 * r <= n:
+        raise ValueError("need 0 <= 2r <= n")
 
 
 def perm_from_olp(d: OrientedLinkPattern) -> Tuple[int, ...]:
@@ -94,8 +98,7 @@ def all_patterns(n: int, r: int) -> List[OrientedLinkPattern]:
 
 def count_patterns(n: int, r: int) -> int:
     """|D_{n,r}| = n! / (r! (n-2r)!)."""
-    if 2 * r > n:
-        raise ValueError("2r must not exceed n")
+    _check_r(n, r)
     return math.factorial(n) // (math.factorial(r) * math.factorial(n - 2 * r))
 
 
@@ -213,6 +216,7 @@ def _check_in_quotient(w: Sequence[int], r: int) -> None:
     n = len(w)
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError("input is not a permutation of 1..n")
+    _check_r(n, r)
     mid = list(w[r : n - r])
     tail = list(w[n - r :])
     if mid != sorted(mid) or tail != sorted(tail):
@@ -273,6 +277,11 @@ def type_a_datum(n: int, r: int) -> IJKDatum:
     return IJKDatum(system, I, J, K, star)
 
 
+def _inverse_line(line: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Line notation of w^{-1} from that of w: the positions i ordered by w(i)."""
+    return tuple(sorted(range(1, len(line) + 1), key=lambda i: line[i - 1]))
+
+
 def orbit_pair_params(
     n: int, r: int
 ) -> List[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...], int]]:
@@ -280,24 +289,22 @@ def orbit_pair_params(
 
     The dimension is l(w1) + l(w2) + r(r-1)/2 + (n-2r)(n-2r-1)/2.
     """
-    if 2 * r > n:
-        raise ValueError("2r must not exceed n")
+    _check_r(n, r)
     base = r * (r - 1) // 2 + (n - 2 * r) * (n - 2 * r - 1) // 2
     if r == 0:
         # I = J = {} and K = {1..n-1}: a single coset, the identity row
         line = tuple(range(1, n + 1))
         return [((line, line), line, base)]
     datum = type_a_datum(n, r)
-    g = datum.group
     out = []
     for node in datum.quotient_elements():
-        # w = w1 w2 with w2 in W_I; the inverses come from the group's table
-        w1, w2 = (g.idx(v) for v in parabolic_decompose(node.rep, datum.L))
-        if not set(g.words[w2]) <= set(datum.I):
+        # w = w1 w2 with w2 in W_I
+        w1, w2 = parabolic_decompose(node.rep, datum.L)
+        if not set(w2.reduced_word()) <= set(datum.I):
             raise AssertionError("W_L part of a quotient element is not in W_I")
         out.append(
             (
-                tuple(to_line_notation(g.elements[g.inverse[k]]) for k in (w1, w2)),
+                tuple(_inverse_line(to_line_notation(v)) for v in (w1, w2)),
                 to_line_notation(node.rep),
                 node.length() + base,  # l(w) = l(w1) + l(w2)
             )

@@ -14,15 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .roots import RootSystem, coweight_reflect, strip_descents
-from .weyl import WeylElement, WeylGroup, simple_mask, weyl_group
+from .roots import Coords, RootSystem, coweight_reflect, strip_descents
+from .weyl import WeylElement, bruhat_leq_keys, check_system, from_word, simple_mask, weyl_group
 
 
 class IJKDatum:
     """The triple (I, J, K) with the star isomorphism W_I -> W_J.
 
-    Works on the integer tables of the group: W_I, W_K, the star images
-    x -> x* and the products x x* are computed once here.
+    W_I, W_K, the star images x -> x* and the products x x* are computed
+    once here, as elements of the datum's group.
     """
 
     def __init__(
@@ -43,20 +43,21 @@ class IJKDatum:
             star = dict(zip(self.I, self.J))
         self.star_map = dict(star)
         self._validate()
-        self.group: WeylGroup = weyl_group(system)
+        self.group = weyl_group(system)
         self.L = tuple(sorted(self.I + self.J + self.K))
         g = self.group
-        self._jk_mask = simple_mask(system.rank, self.J + self.K)
+        self._jk = self.J + self.K
         self._l_mask = simple_mask(system.rank, self.L)
-        self._w_i = g.subgroup_indices(self.I)
-        self._w_k = g.subgroup_indices(self.K)
+        self._w_i = g.subgroup_elements(self.I)
+        self._w_k = g.subgroup_elements(self.K)
         # a reduced word of x in W_I maps letter by letter to one of x*
         self._star = {
-            x: g.apply_word(0, [self.star_map[i] for i in g.words[x]]) for x in self._w_i
+            x: g.element(from_word(system, [self.star_map[i] for i in x.reduced_word()]).x)
+            for x in self._w_i
         }
-        self._diag = [g.product(x, self._star[x]) for x in self._w_i]
+        self._diag = [x.mul(self._star[x]) for x in self._w_i]
         self._unstar = {v: k for k, v in self.star_map.items()}
-        self._min_cache: Dict[int, List[int]] = {}
+        self._min_cache: Dict[Coords, List[WeylElement]] = {}
 
     def _validate(self) -> None:
         rs = self.system
@@ -100,95 +101,88 @@ class IJKDatum:
 
     def star_extend(self, x: WeylElement) -> WeylElement:
         """Image of x in W_J under the induced isomorphism."""
-        image = self._star.get(self.group.idx(x))
+        check_system(self.system, x)
+        image = self._star.get(x)
         if image is None:
             raise ValueError("element is not in W_I")
-        return self.group.elements[image]
+        return image
 
     def w_i_elements(self) -> List[WeylElement]:
-        return [self.group.elements[x] for x in self._w_i]
+        return list(self._w_i)
 
-    def _coset(self, w: int) -> List[int]:
-        g = self.group
+    def coset(self, w: WeylElement) -> List[WeylElement]:
+        """[w] = {w a x x* : a in W_K, x in W_I}; size |W_K| * |W_I|."""
+        check_system(self.system, w)
         out = []
         seen = set()
         for a in self._w_k:
-            wa = g.product(w, a)
+            wa = w.mul(a)
             for xx in self._diag:
-                u = g.product(wa, xx)
+                u = wa.mul(xx)
                 if u not in seen:
                     seen.add(u)
-                    out.append(u)
+                    out.append(self.group.element(u.x))
         if len(out) != len(self._w_k) * len(self._w_i):
             raise AssertionError("coset size differs from |W_K| * |W_I|")
         return out
 
-    def coset(self, w: WeylElement) -> List[WeylElement]:
-        """[w] = {w a x x* : a in W_K, x in W_I}; size |W_K| * |W_I|."""
-        return [self.group.elements[u] for u in self._coset(self.group.idx(w))]
-
-    def _check_system(self, w: WeylElement) -> None:
-        if (w.system.family, w.system.rank) != (self.system.family, self.system.rank):
-            raise ValueError("element of another root system than the datum's")
-
-    def _rep_index(self, u: WeylElement) -> int:
-        """Index of the least member of [u], the one with no right descent in
+    def _rep_key(self, u: Coords) -> Coords:
+        """Key of the least member of [u], the one with no right descent in
         J u K: u^L a_I y^{-1} for u = u^L a_I a_J a_K (commuting parts, each
         spelled by its own letters) and y in W_I with y* = a_J."""
-        self._check_system(u)
         bonds = self.system.bonds
-        letters, x = strip_descents(bonds, u.x, self._l_mask)
+        letters, x = strip_descents(bonds, u, self._l_mask)
         for i in reversed(letters):
             if i in self.star_map:
                 x = coweight_reflect(bonds, x, i - 1)
         for j in letters:  # y^{-1} is a_J reversed, unstarred
             if j in self._unstar:
                 x = coweight_reflect(bonds, x, self._unstar[j] - 1)
-        return self.group.index[x]
+        return x
 
     def canonical_rep(self, w: WeylElement) -> "QuotientElement":
         """The unique member of [w] with no right descent in J u K."""
-        return QuotientElement(self, self.group.elements[self._rep_index(w)])
+        check_system(self.system, w)
+        return QuotientElement(self, self.group.element(self._rep_key(w.x)))
 
     def quotient_elements(self) -> List["QuotientElement"]:
         """All of W(I,J,K) = W^{J u K}, by (length, reduced word)."""
-        g = self.group
-        reps = [k for k, d in enumerate(g.descents) if not d & self._jk_mask]
-        reps.sort(key=lambda k: (g.lengths[k], g.words[k]))
-        return [QuotientElement(self, g.elements[k]) for k in reps]
+        lengths = self.group.lengths
+        reps = self.group.min_coset_reps(self._jk)
+        reps.sort(key=lambda w: (lengths[w.x], w.reduced_word()))
+        return [QuotientElement(self, w) for w in reps]
 
     # -- membership in the union of Min sets ---------------------------------
 
     def member_of_M(self, u: WeylElement) -> bool:
         """True iff u lies in Min(w) for some w: the cosets partition W, so
         iff u is as short as the transversal member of its coset."""
-        return self.group.lengths[self._rep_index(u)] == u.length()
+        check_system(self.system, u)
+        return self.group.lengths[self._rep_key(u.x)] == u.length()
 
-    def _min_indices(self, w: "QuotientElement") -> List[int]:
-        """Min(w) as group indices, cached per representative."""
-        cached = self._min_cache.get(w.idx)
+    def _min_elements(self, w: "QuotientElement") -> List[WeylElement]:
+        """Min(w) as the group's own elements, cached per representative."""
+        cached = self._min_cache.get(w.rep.x)
         if cached is None:
             g = self.group
-            products = (g.product(w.idx, xx) for xx in self._diag)
-            cached = [u for u in products if g.lengths[u] == g.lengths[w.idx]]
-            self._min_cache[w.idx] = cached
+            length = g.lengths[w.rep.x]
+            products = (w.rep.mul(xx).x for xx in self._diag)
+            cached = [g.element(u) for u in products if g.lengths[u] == length]
+            self._min_cache[w.rep.x] = cached
         return cached
 
 
 class QuotientElement:
-    """An element of W(I,J,K), held as the group's own element and index."""
+    """An element of W(I,J,K), held as the group's own element."""
 
-    __slots__ = ("datum", "rep", "idx")
+    __slots__ = ("datum", "rep")
 
     def __init__(self, datum: IJKDatum, rep: WeylElement):
-        datum._check_system(rep)
-        g = datum.group
-        k = g.idx(rep)
-        if g.descents[k] & datum._jk_mask:
+        check_system(datum.system, rep)
+        if any(rep.x[i - 1] < 0 for i in datum._jk):
             raise ValueError("representative has a right descent in J u K")
         self.datum = datum
-        self.idx = k
-        self.rep = g.elements[k]
+        self.rep = datum.group.element(rep.x)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuotientElement) and self.rep == other.rep
@@ -200,13 +194,12 @@ class QuotientElement:
         return repr(self.rep)
 
     def length(self) -> int:
-        return self.datum.group.lengths[self.idx]
+        return self.datum.group.lengths[self.rep.x]
 
 
 def min_set(w: QuotientElement) -> List[WeylElement]:
     """Min(w) = {w x x* : x in W_I, l(w x x*) = l(w)}, least in [w]."""
-    elements = w.datum.group.elements
-    return [elements[u] for u in w.datum._min_indices(w)]
+    return list(w.datum._min_elements(w))
 
 
 def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
@@ -216,8 +209,10 @@ def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
         getattr(d1, a) != getattr(d2, a) for a in ("system", "I", "J", "K", "star_map")
     ):
         raise ValueError("elements from different data")
-    group = w.datum.group
-    return any(group.bruhat_idx(u, w.idx) for u in d1._min_indices(wp))
+    if wp.length() >= w.length():  # Min(w') lies at length l(w'): only w itself can be below w
+        return wp == w
+    bonds, x, lu, lw = d1.system.bonds, w.rep.x, wp.length(), w.length()
+    return any(bruhat_leq_keys(bonds, u.x, lu, x, lw) for u in d1._min_elements(wp))
 
 
 def covers_O_below(w: QuotientElement) -> List[QuotientElement]:
@@ -227,8 +222,8 @@ def covers_O_below(w: QuotientElement) -> List[QuotientElement]:
     seen = set()
     for u in datum.group.bruhat_covers_below(w.rep):
         wp = datum.canonical_rep(u)
-        if wp.length() == u.length() and wp.idx not in seen:
-            seen.add(wp.idx)
+        if wp.length() == datum.group.lengths[u.x] and wp.rep not in seen:
+            seen.add(wp.rep)
             out.append(wp)
     if any(wp.length() != w.length() - 1 for wp in out):
         raise AssertionError("a cover below w is not one rank lower")
@@ -282,10 +277,10 @@ class PosetGraph:
 def build_poset(datum: IJKDatum) -> PosetGraph:
     """Nodes = W(I,J,K); edges = all cover pairs of <=_O."""
     nodes = datum.quotient_elements()
-    index = {node.idx: i for i, node in enumerate(nodes)}
+    index = {node.rep.x: i for i, node in enumerate(nodes)}
     edges = []
     for i, node in enumerate(nodes):
         for wp in covers_O_below(node):
-            edges.append((index[wp.idx], i))
+            edges.append((index[wp.rep.x], i))
     edges.sort()
     return PosetGraph(nodes, edges)

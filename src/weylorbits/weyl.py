@@ -1,4 +1,4 @@
-"""Weyl group elements keyed by regular coweights, and table-driven groups.
+"""Weyl group elements keyed by regular coweights, and their enumerated groups.
 
 An element w is stored as the coweight x = w^{-1}(rho^vee) in the
 fundamental-coweight basis, so x_i = <w(alpha_i), rho^vee> is the height of
@@ -8,10 +8,9 @@ w(alpha_i). The key is defined without enumerating the group:
 - the right descents of w are the indices i with x_i < 0;
 - removing right descents until x is dominant spells a reduced word of w.
 
-WeylGroup enumerates the orbit of rho^vee breadth-first and keeps integer
-tables (index, length, inverse, right multiplication by generators, lex-min
-reduced words) for the code that works on many elements of one group
-(Casselman, "Machine calculations in Weyl groups", Invent. Math. 117, 1994).
+WeylGroup enumerates the orbit of rho^vee breadth-first and keeps only the
+list of elements and the length of each key. Bruhat order is decided on keys
+by the lifting property, without tables or a memo.
 
 The convention is that a word w = s_{i_1} ... s_{i_k} acts with the rightmost
 letter first (standard composition), so in type A the word s_2 s_1 has line
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .roots import Coords, RootSystem, coweight_reflect, strip_descents
+from .roots import Bonds, Coords, RootSystem, coweight_reflect, strip_descents
 
 
 class CapExceededError(RuntimeError):
@@ -167,158 +166,117 @@ def from_line_notation(system: RootSystem, seq: Sequence[int]) -> WeylElement:
     return WeylElement(system, tuple(seq[i + 1] - seq[i] for i in range(n - 1)))
 
 
-class WeylGroup:
-    """Full enumeration of a finite Weyl group as integer tables.
+def check_system(system: RootSystem, w: WeylElement) -> None:
+    """ValueError unless w is an element of the Weyl group of `system`."""
+    if (w.system.family, w.system.rank) != (system.family, system.rank):
+        raise ValueError("element of another root system")
 
-    Element k is `elements[k]`; its key is `elements[k].x`, and `index` maps
-    keys back to k. Elements are listed breadth-first by length. The tables
-    are `lengths`, `inverse`, `right_mul[k][i]` (k times s_{i+1}),
-    `descents` (bit i set iff i+1 is a right descent) and `words`, the
-    lexicographically smallest reduced word of each element. Bruhat
-    comparisons are memoized in a shared per-group table.
+
+def _orbit(bonds: Bonds, rank: int, gens: Iterable[int], cap: int) -> Dict[Coords, int]:
+    """Keys of W_gens (0-based generators) with their lengths, breadth-first.
+
+    A key is reflected only at its ascents (x_i > 0): there w s_i is one
+    longer than w, and a descent leads back to a key already seen.
+    """
+    start = (1,) * rank
+    keys = [start]
+    lengths = {start: 0}
+    # keys grows while it is read: a FIFO queue, so the order is breadth-first
+    for x in keys:
+        length = lengths[x] + 1
+        for i in gens:
+            if x[i] > 0:
+                y = coweight_reflect(bonds, x, i)
+                if y not in lengths:
+                    if len(keys) >= cap:
+                        raise CapExceededError(len(keys))
+                    lengths[y] = length
+                    keys.append(y)
+    return lengths
+
+
+def bruhat_leq_keys(bonds: Bonds, u: Coords, lu: int, w: Coords, lw: int) -> bool:
+    """Strong Bruhat order u <= w on keys of lengths lu, lw by the lifting
+    property (Bjorner-Brenti, Prop. 2.2.7): for a right descent s of w,
+    u <= w iff us <= ws when s is a descent of u too, and iff u <= ws
+    otherwise. Once l(u) >= l(w), u <= w iff u = w."""
+    while lu < lw:
+        if not lu:  # u = e
+            return True
+        for i, c in enumerate(w):  # the first right descent of w
+            if c < 0:
+                break
+        if u[i] < 0:
+            u = coweight_reflect(bonds, u, i)
+            lu -= 1
+        w = coweight_reflect(bonds, w, i)
+        lw -= 1
+    return u == w
+
+
+class WeylGroup:
+    """Full enumeration of a finite Weyl group.
+
+    `elements` lists the group breadth-first by length, and `lengths` maps
+    each key to the length of its element. `element(x)` returns the group's
+    own element for a key, which computes its reduced word once.
     """
 
     DEFAULT_CAP = 1_000_000
 
     def __init__(self, system: RootSystem, cap: int = DEFAULT_CAP):
         self.system = system
-        n = system.rank
-        bonds = system.bonds
-        start = (1,) * n
-        keys: List[Coords] = [start]
-        index: Dict[Coords, int] = {start: 0}
-        lengths = [0]
-        right_mul: List[List[int]] = []
-        # keys grows while it is read: a FIFO queue, so the order is breadth-first
-        for e, x in enumerate(keys):
-            row = []
-            for i in range(n):
-                y = coweight_reflect(bonds, x, i)
-                j = index.get(y)
-                if j is None:
-                    if len(keys) >= cap:
-                        raise CapExceededError(len(keys))
-                    j = index[y] = len(keys)
-                    keys.append(y)
-                    lengths.append(lengths[e] + 1)
-                row.append(j)
-            right_mul.append(row)
-        self.index = index
-        self.lengths = lengths
-        self.right_mul = right_mul
-        self.descents = [sum(1 << i for i, c in enumerate(x) if c < 0) for x in keys]
-        # lex-min word of k^{-1}: smallest right descent d of k, then that of
-        # the parent k s_d, which is shorter and so earlier in the order
-        inverse_words: List[Tuple[int, ...]] = [()]
-        inverse = [0]
-        for k in range(1, len(keys)):
-            d = _lowest_bit(self.descents[k])
-            inverse_words.append((d + 1,) + inverse_words[right_mul[k][d]])
-            inverse.append(self.apply_word(0, inverse_words[k]))
-        self.inverse = inverse
-        self.words = [inverse_words[inverse[k]] for k in range(len(keys))]
-        self.elements = [WeylElement(system, x) for x in keys]
-        for w, word in zip(self.elements, self.words):
-            w._word = word
+        self.lengths = _orbit(system.bonds, system.rank, range(system.rank), cap)
+        self.elements = [WeylElement(system, x) for x in self.lengths]
+        self._own = {w.x: w for w in self.elements}
         self._coroots = [(beta, system.coroot(beta).coords) for beta in system.positive_roots]
-        self._bruhat: Dict[int, bool] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def idx(self, w: WeylElement) -> int:
-        return self.index[w.x]
+    def element(self, x: Coords) -> WeylElement:
+        """The group's own element with key x."""
+        return self._own[x]
 
-    # -- integer operations ------------------------------------------------
-
-    def apply_word(self, k: int, word: Iterable[int]) -> int:
-        """Index of k * s_{i_1} ... s_{i_m} for a word of 1-based letters."""
-        right_mul = self.right_mul
-        for i in word:
-            k = right_mul[k][i - 1]
-        return k
-
-    def product(self, u: int, v: int) -> int:
-        """Index of u * v."""
-        return self.apply_word(u, self.words[v])
-
-    def subgroup_indices(self, L: Iterable[int]) -> List[int]:
-        """Indices of the standard parabolic W_L, breadth-first by length."""
-        mask = simple_mask(self.system.rank, L)
-        gens = [i for i in range(self.system.rank) if mask >> i & 1]
-        right_mul = self.right_mul
-        out = [0]
-        seen = {0}
-        for k in out:  # a FIFO queue, as in __init__
-            for i in gens:
-                j = right_mul[k][i]
-                if j not in seen:
-                    seen.add(j)
-                    out.append(j)
-        return out
-
-    def covers_below(self, k: int) -> List[int]:
-        """Indices of the Bruhat covers u = k * t below k, t = s_beta for beta > 0.
-
-        (k s_beta)^{-1} rho^vee = s_beta(x) = x - <beta, x> beta^vee, and
-        l(k s_beta) < l(k) iff <beta, x> < 0.
-        """
-        x = self.elements[k].x
-        target = self.lengths[k] - 1
+    def covers_below(self, x: Coords) -> List[Coords]:
+        """Keys of the Bruhat covers w s_beta (beta > 0) below the element w
+        with key x: (w s_beta)^{-1} rho^vee = s_beta(x) = x - <beta, x> beta^vee,
+        and l(w s_beta) < l(w) iff <beta, x> < 0."""
+        target = self.lengths[x] - 1
         out = []
         for beta, coroot in self._coroots:
             c = sum(b * xi for b, xi in zip(beta, x))
             if c < 0:
-                u = self.index[tuple(xi - c * h for xi, h in zip(x, coroot))]
+                u = tuple(xi - c * h for xi, h in zip(x, coroot))
                 if self.lengths[u] == target:
                     out.append(u)
         return out
 
-    def bruhat_idx(self, ui: int, wi: int) -> bool:
-        """Strong Bruhat order on indices via the lifting property."""
-        if ui == wi:
-            return True
-        lu, lw = self.lengths[ui], self.lengths[wi]
-        if lu >= lw:
-            return False
-        if lu == 0:
-            return True
-        key = ui * len(self.lengths) + wi
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        s = _lowest_bit(self.descents[wi])
-        ws = self.right_mul[wi][s]
-        us = self.right_mul[ui][s]
-        if self.lengths[us] < lu:
-            res = self.bruhat_idx(us, ws)
-        else:
-            res = self.bruhat_idx(ui, ws)
-        self._bruhat[key] = res
-        return res
-
-    # -- element operations ------------------------------------------------
-
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """Strong Bruhat order via the lifting property (Bjorner-Brenti 2.2)."""
-        return self.bruhat_idx(self.idx(u), self.idx(w))
+        check_system(self.system, u)
+        check_system(self.system, w)
+        lengths = self.lengths
+        return bruhat_leq_keys(self.system.bonds, u.x, lengths[u.x], w.x, lengths[w.x])
 
     def bruhat_covers_below(self, w: WeylElement) -> List[WeylElement]:
         """All u with u covered by w; each u = w * t for a reflection t."""
-        return [self.elements[u] for u in self.covers_below(self.idx(w))]
+        check_system(self.system, w)
+        return [self._own[u] for u in self.covers_below(w.x)]
+
+    def _gens(self, L: Iterable[int]) -> List[int]:
+        mask = simple_mask(self.system.rank, L)
+        return [i for i in range(self.system.rank) if mask >> i & 1]
 
     def subgroup_elements(self, L: Iterable[int]) -> List[WeylElement]:
         """All elements of the standard parabolic W_L, breadth-first by length."""
-        return [self.elements[k] for k in self.subgroup_indices(L)]
+        rs = self.system
+        return [self._own[x] for x in _orbit(rs.bonds, rs.rank, self._gens(L), len(self))]
 
     def min_coset_reps(self, L: Iterable[int]) -> List[WeylElement]:
         """Minimal-length representatives W^L, in enumeration order."""
-        mask = simple_mask(self.system.rank, L)
-        return [w for w, d in zip(self.elements, self.descents) if not d & mask]
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+        gens = self._gens(L)
+        return [w for w in self.elements if all(w.x[i] > 0 for i in gens)]
 
 
 def simple_mask(rank: int, indices: Iterable[int]) -> int:

@@ -257,6 +257,10 @@ def test_compare_nr_n_must_match_rank(capsys):
     )
 
 
+def test_compare_nr_negative_r(capsys):
+    _assert_usage_error(capsys, "compare", *FIG_ARGS, "--nr", "4 -1", "1", "2")
+
+
 def test_cascade_negative_depth(capsys):
     _assert_usage_error(capsys, "cascade", "--type", "A", "--rank", "3", "--depth", "-1")
 

@@ -199,6 +199,15 @@ def test_sequences():
         seq_S((1, 1, 2, 3), 2)
 
 
+def test_negative_r_is_rejected():
+    with pytest.raises(ValueError, match="0 <= 2r"):
+        olp_from_perm((1, 2, 3, 4), -1)
+    with pytest.raises(ValueError, match="0 <= 2r"):
+        seq_S((1, 2, 3, 4), -1)
+    with pytest.raises(ValueError, match="0 <= 2r"):
+        leq_seq((1, 2, 3, 4), (4, 3, 2, 1), -1)
+
+
 def test_leq_seq_examples():
     # identity pattern is the unique minimum
     pats = all_patterns(4, 2)

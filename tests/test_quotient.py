@@ -101,15 +101,27 @@ def test_transversal_against_coset_scan(family, rank, I, J, K, star):
         assert min_set(node) == [u for u in coset if u.length() == least]
 
 
-@pytest.mark.parametrize("word", [[2, 1], [3, 2, 3]])
-def test_element_of_another_system_is_rejected(datum, word):
+# B3 s1 and s2 s1 have keys of A3 elements, B3 s3 s2 s3 has none
+@pytest.mark.parametrize("word", [[2, 1], [3, 2, 3], [1]])
+def test_element_of_another_system_is_rejected(datum, a3, word):
     u = from_word(build_root_system("B", 3), word)
+    w = from_word(a3, [1, 2, 3, 2, 1])
     with pytest.raises(ValueError):
         datum.canonical_rep(u)
     with pytest.raises(ValueError):
         datum.member_of_M(u)
     with pytest.raises(ValueError):
         QuotientElement(datum, u)
+    with pytest.raises(ValueError):
+        datum.star_extend(u)
+    with pytest.raises(ValueError):
+        datum.coset(u)
+    with pytest.raises(ValueError):
+        datum.group.bruhat_leq(u, w)
+    with pytest.raises(ValueError):
+        datum.group.bruhat_leq(w, u)
+    with pytest.raises(ValueError):
+        datum.group.bruhat_covers_below(u)
 
 
 def test_leq_O_rejects_elements_of_different_data(datum, a3):

@@ -1,4 +1,4 @@
-"""The integer tables of WeylGroup against element-level arithmetic."""
+"""The enumeration of WeylGroup against element-level arithmetic."""
 
 import pytest
 from hypothesis import given, settings
@@ -40,39 +40,44 @@ def group(request):
 def test_group_order(group):
     rs = group.system
     assert len(group) == len(group.elements) == ORDERS[(rs.family, rs.rank)]
-    assert [group.index[w.x] for w in group.elements] == list(range(len(group)))
+    assert list(group.lengths) == [w.x for w in group.elements]
+    # the group hands out its own element for a key, not a copy
+    for w in group.elements:
+        assert group.element(w.x) is w
+        assert group.element(from_word(rs, w.reduced_word()).x) is w
 
 
 def test_lengths_count_inverted_positive_roots(group):
     rs = group.system
-    for k, w in enumerate(group.elements):
+    for w in group.elements:
         inverted = sum(1 for beta in rs.positive_roots if not rs.is_positive(w.apply(beta)))
-        assert group.lengths[k] == inverted
-    assert group.lengths == sorted(group.lengths)  # breadth-first
+        assert group.lengths[w.x] == w.length() == inverted
+    lengths = [group.lengths[w.x] for w in group.elements]
+    assert lengths == sorted(lengths)  # breadth-first
 
 
 def test_right_multiplication_and_descents(group):
     gens = [simple_reflection(group.system, i + 1) for i in range(group.system.rank)]
-    for k, w in enumerate(group.elements):
-        assert [group.elements[j] for j in group.right_mul[k]] == [w * s for s in gens]
-        assert [i + 1 for i in range(len(gens)) if group.descents[k] >> i & 1] == w.right_descents()
+    for w in group.elements:
+        for i, s in enumerate(gens, 1):
+            ws = w * s
+            assert group.lengths[ws.x] == group.lengths[w.x] + (-1 if i in w.right_descents() else 1)
 
 
 def test_inverse_is_a_length_preserving_involution(group):
-    inverse = group.inverse
-    for k, w in enumerate(group.elements):
-        assert inverse[inverse[k]] == k
-        assert group.lengths[inverse[k]] == group.lengths[k]
-        assert group.elements[inverse[k]] == w.inv()
-        assert (w * group.elements[inverse[k]]).is_identity()
+    for w in group.elements:
+        inverse = w.inv()
+        assert inverse.inv() == w
+        assert group.lengths[inverse.x] == group.lengths[w.x]
+        assert (w * inverse).is_identity() and (inverse * w).is_identity()
 
 
 def test_words_are_lex_min_reduced_words(group):
     rs = group.system
-    for k, w in enumerate(group.elements):
-        word = group.words[k]
+    for w in group.elements:
+        word = w.reduced_word()
         assert from_word(rs, word) == w
-        assert len(word) == group.lengths[k]
+        assert len(word) == group.lengths[w.x]
         # lex-min: every letter is the smallest left descent of the suffix it starts
         for j in range(len(word)):
             suffix = from_word(rs, word[j:])
@@ -81,7 +86,7 @@ def test_words_are_lex_min_reduced_words(group):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([("B", 3), ("A", 4)]).flatmap(
+    st.sampled_from([("B", 3), ("A", 4), ("G", 2), ("F", 4)]).flatmap(
         lambda fr: st.tuples(
             st.just(fr),
             st.lists(st.integers(1, fr[1]), max_size=14),
