@@ -418,18 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--K", default="", help="simple indices of K")
         p.add_argument("--star", default="", help="pairs i:j mapping I to J")
 
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    def add_output(p: argparse.ArgumentParser, formats: Tuple[str, ...]) -> None:
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="output path (default stdout)")
 
     p = sub.add_parser("poset", help="Hasse diagram of <=_O on W(I,J,K)")
     add_datum(p)
-    add_output(p)
+    add_output(p, ("text", "json", "dot"))
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("compare", help="compare two elements under <=_O")
     add_datum(p)
-    add_output(p)
+    add_output(p, ("text",))
     p.add_argument("lhs", help="word of simple indices (or line notation with --perm)")
     p.add_argument("rhs")
     p.add_argument("--perm", action="store_true", help="arguments are line notation")
@@ -438,21 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify an orthogonal set of roots")
     add_system(p)
-    add_output(p)
+    add_output(p, ("text", "json"))
     p.add_argument("root", nargs="+", help="root coordinates, e.g. '1 2 2 1'")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("cascade", help="chain cascade tree")
     add_system(p)
-    add_output(p)
+    add_output(p, ("text",))
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("orbits", help="type-A square-zero orbit table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
+    add_output(p, ("text", "json"))
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("selftest", help="run the main exhaustive checks")

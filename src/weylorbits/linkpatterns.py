@@ -9,7 +9,6 @@ V_j = span(eps_1..eps_j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from typing import FrozenSet, List, Sequence, Tuple
@@ -21,24 +20,30 @@ from .weyl import parabolic_decompose, to_line_notation
 Arrow = Tuple[int, int]
 
 
-@dataclass(frozen=True)
 class OrientedLinkPattern:
-    n: int
-    arrows: FrozenSet[Arrow]
+    __slots__ = ("n", "arrows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, arrows: FrozenSet[Arrow]):
+        self.n = n
+        self.arrows = arrows
         touched = set()
-        for s, t in self.arrows:
+        for s, t in arrows:
             if s == t:
                 raise ValueError("arrow endpoints must differ")
             for v in (s, t):
-                if not 1 <= v <= self.n:
+                if not 1 <= v <= n:
                     raise ValueError(f"vertex {v} out of range")
                 if v in touched:
                     raise ValueError(f"vertex {v} touches more than one arrow")
                 touched.add(v)
-        if 2 * len(self.arrows) > self.n:
+        if 2 * len(arrows) > n:
             raise ValueError("too many arrows")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, OrientedLinkPattern) and (self.n, self.arrows) == (other.n, other.arrows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.arrows))
 
     @property
     def r(self) -> int:

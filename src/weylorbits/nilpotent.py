@@ -10,29 +10,27 @@ reports the Levi + involution data attached to the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .roots import Coords, Coweight, RootSystem, highest_root
 
 CASES = ("D4", "B3", "C3", "B2long", "B2short", "G2both", "A1")
 
 
-@dataclass(frozen=True)
 class OrthogonalSet:
-    system: RootSystem
-    thetas: Tuple[Coords, ...]
+    """Pairwise orthogonal roots of a system; compared by identity."""
 
-    def __post_init__(self) -> None:
-        rs = self.system
-        for t in self.thetas:
-            if not rs.is_root(t):
+    def __init__(self, system: RootSystem, thetas: Tuple[Coords, ...]):
+        self.system = system
+        self.thetas = thetas
+        for t in thetas:
+            if not system.is_root(t):
                 raise ValueError(f"{t} is not a root")
-        for i in range(len(self.thetas)):
-            for j in range(i + 1, len(self.thetas)):
-                if rs.form(self.thetas[i], self.thetas[j]) != 0:
+        for i in range(len(thetas)):
+            for j in range(i + 1, len(thetas)):
+                if system.form(thetas[i], thetas[j]) != 0:
                     raise ValueError("roots are not pairwise orthogonal")
         # orthogonal roots are linearly independent automatically
 
@@ -66,8 +64,7 @@ def orthogonal_set(system: RootSystem, thetas: Sequence[Sequence[int]]) -> Ortho
     return OrthogonalSet(system, tuple(tuple(t) for t in thetas))
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(NamedTuple):
     case: str
     beta: Coords
     coefficients: Tuple[Fraction, ...]
@@ -246,8 +243,7 @@ def _case_supports(oset: OrthogonalSet, case: str) -> List[Tuple[int, ...]]:
     )
 
 
-@dataclass(frozen=True)
-class SphericalVerdict:
+class SphericalVerdict(NamedTuple):
     spherical: bool
     height: int
 
@@ -311,14 +307,13 @@ def type_b_height(oset: OrthogonalSet) -> int:
 # -- chain cascades ----------------------------------------------------------
 
 
-@dataclass
-class CascadeNode:
+class CascadeNode(NamedTuple):
     """One node of the cascade tree: the chain chosen so far and its coweight."""
 
     chain: Tuple[Coords, ...]
     coweight: Coweight
     coweight_dominant: Coweight
-    children: List["CascadeNode"] = field(default_factory=list)
+    children: List["CascadeNode"]
 
 
 def _components(items: Sequence, adjacent: Callable[..., bool]) -> List[list]:
@@ -344,7 +339,7 @@ def chain_cascade(system: RootSystem, max_depth: Optional[int] = None) -> Cascad
     def grow(chain: Tuple[Coords, ...], pool: List[Coords], depth: int) -> CascadeNode:
         h = OrthogonalSet(system, chain).coroot_sum() if chain else Coweight((0,) * system.rank)
         h_dom, _ = system.dominantize(h)
-        node = CascadeNode(chain, h, h_dom)
+        node = CascadeNode(chain, h, h_dom, [])
         if max_depth is not None and depth >= max_depth:
             return node
         for comp in _components(pool, lambda a, b: system.form(a, b) != 0):
@@ -384,8 +379,7 @@ def grading_dimensions(system: RootSystem, h: Coweight) -> Dict[int, int]:
     return out
 
 
-@dataclass
-class InvolutionReport:
+class InvolutionReport(NamedTuple):
     levi_simple_roots: Tuple[int, ...]
     sigma_action: Dict[int, Coords]
     fixed: Tuple[int, ...]
@@ -502,8 +496,7 @@ def _folded_type(
     return tuple(sorted(types, key=lambda t: (-int(t[1:]), t)))
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     oset: OrthogonalSet
     rationally_orthogonal: bool
     cases: List[CaseLabel]

@@ -11,8 +11,7 @@ Combinatorics of Coxeter Groups, Prop. 2.4.4), without a coset scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .roots import Coords, RootSystem, coweight_reflect, strip_descents
 from .weyl import WeylElement, bruhat_leq_keys, check_system, from_word, simple_mask, weyl_group
@@ -230,8 +229,7 @@ def covers_O_below(w: QuotientElement) -> List[QuotientElement]:
     return out
 
 
-@dataclass
-class PosetGraph:
+class PosetGraph(NamedTuple):
     """Hasse diagram of (W(I,J,K), <=_O); edges are (lower, upper) node indices."""
 
     nodes: List[QuotientElement]

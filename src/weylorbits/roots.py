@@ -12,11 +12,12 @@ with weyl, which keys group elements by coweights, and with quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Coords = Tuple[int, ...]
 
@@ -156,8 +157,7 @@ def highest_root(roots: Collection[Coords]) -> Coords:
     return best[0]
 
 
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(NamedTuple):
     """Coweight in the fundamental-coweight basis: coords[i] = value on alpha_i."""
 
     coords: Coords
@@ -323,6 +323,7 @@ class RootSystem:
             rest = [r - p * x for r, x in zip(rest, b)]
         if any(rest):
             return None
+        from fractions import Fraction  # only members need it; a miss returned above
         return tuple(Fraction(p, m) for p, m in zip(proj, norms))
 
 

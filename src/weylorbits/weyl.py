@@ -44,7 +44,8 @@ class WeylElement:
         self._word: Optional[Tuple[int, ...]] = None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.x == other.x
+        # a key's length is the rank, but A3 and C3 share keys such as s3's
+        return isinstance(other, WeylElement) and self.x == other.x and self.system.family == other.system.family
 
     def __hash__(self) -> int:
         return self._hash

@@ -63,6 +63,24 @@ def test_poset_usage_errors(capsys):
     assert code == 2
 
 
+# Each command accepts only the formats it renders; the rest exit 2.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", *FIG_ARGS, "1", "3", "--format", "json"),
+        ("compare", *FIG_ARGS, "1", "3", "--format", "dot"),
+        ("classify", "--type", "G", "--rank", "2", "--format", "dot", "3 2", "1 0"),
+        ("cascade", "--type", "A", "--rank", "3", "--format", "json"),
+        ("cascade", "--type", "A", "--rank", "3", "--format", "dot"),
+        ("orbits", "--n", "4", "--r", "2", "--format", "dot"),
+    ],
+    ids=["compare-json", "compare-dot", "classify-dot", "cascade-json", "cascade-dot", "orbits-dot"],
+)
+def test_unrendered_format_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "invalid choice" in err
+
+
 def test_compare_comparable(capsys):
     code, out, _ = run(capsys, "compare", *FIG_ARGS, "1", "3 2")
     assert code == 0

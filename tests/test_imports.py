@@ -16,15 +16,18 @@ import weylorbits
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs cli.main on argv with stdout captured, then prints the exit code, the
-# loaded weylorbits.* submodules and whether json was imported.
+# loaded weylorbits.* submodules, whether json was imported, and which of the
+# stdlib modules in STDLIB were imported.
+STDLIB = ("dataclasses", "fractions", "inspect")
 CHILD = """
 import io, sys
 from weylorbits import cli
 sys.stdout = io.StringIO()
 code = cli.main(sys.argv[1:])
 sys.stdout = sys.__stdout__
-print(repr((code, sorted(m for m in sys.modules if m.startswith("weylorbits.")), "json" in sys.modules)))
-"""
+stdlib = [m for m in %r if m in sys.modules]
+print(repr((code, sorted(m for m in sys.modules if m.startswith("weylorbits.")), "json" in sys.modules, stdlib)))
+""" % (STDLIB,)
 
 
 def _child(script, *argv):
@@ -54,6 +57,13 @@ def test_nilpotent_needs_only_roots():
 
 
 A3 = ("--type", "A", "--rank", "3", "--I", "1", "--J", "3")
+COMMANDS = {
+    "poset": ("poset", *A3),
+    "compare": ("compare", *A3, "1 2", "3 2"),
+    "classify": ("classify", "--type", "G", "--rank", "2", "3 2", "1 0"),
+    "cascade": ("cascade", "--type", "A", "--rank", "3"),
+    "orbits": ("orbits", "--n", "4", "--r", "2"),
+}
 BASE = ["weylorbits.cli", "weylorbits.roots", "weylorbits.weyl"]
 QUOTIENT = sorted(BASE + ["weylorbits.quotient"])
 NILPOTENT = sorted(BASE + ["weylorbits.nilpotent"])
@@ -63,16 +73,34 @@ ORBITS = sorted(QUOTIENT + ["weylorbits.linkpatterns"])
 @pytest.mark.parametrize(
     "argv,code,modules",
     [
-        (("poset", *A3), 0, QUOTIENT),
-        (("compare", *A3, "1 2", "3 2"), 1, QUOTIENT),
-        (("classify", "--type", "G", "--rank", "2", "3 2", "1 0"), 0, NILPOTENT),
-        (("cascade", "--type", "A", "--rank", "3"), 0, NILPOTENT),
-        (("orbits", "--n", "4", "--r", "2"), 0, ORBITS),
+        (COMMANDS["poset"], 0, QUOTIENT),
+        (COMMANDS["compare"], 1, QUOTIENT),
+        (COMMANDS["classify"], 0, NILPOTENT),
+        (COMMANDS["cascade"], 0, NILPOTENT),
+        (COMMANDS["orbits"], 0, ORBITS),
     ],
     ids=["poset", "compare", "classify", "cascade", "orbits"],
 )
 def test_command_loads_only_its_layers(argv, code, modules):
-    assert _child(CHILD, *argv) == (code, modules, False)
+    assert _child(CHILD, *argv)[:3] == (code, modules, False)
+
+
+# No command loads dataclasses or inspect. fractions is loaded only by
+# nilpotent, whose case coefficients are Fractions; roots imports it only
+# when span_membership returns coefficients.
+@pytest.mark.parametrize(
+    "name,stdlib",
+    [
+        ("poset", []),
+        ("compare", []),
+        ("orbits", []),
+        ("classify", ["fractions"]),
+        ("cascade", ["fractions"]),
+    ],
+    ids=["poset", "compare", "orbits", "classify", "cascade"],
+)
+def test_command_stdlib_footprint(name, stdlib):
+    assert _child(CHILD, *COMMANDS[name])[3] == stdlib
 
 
 @pytest.mark.parametrize(
@@ -85,7 +113,7 @@ def test_command_loads_only_its_layers(argv, code, modules):
     ids=["poset", "classify", "orbits"],
 )
 def test_json_output_loads_json(argv):
-    code, _, json_loaded = _child(CHILD, *argv)
+    code, _, json_loaded, _ = _child(CHILD, *argv)
     assert code == 0 and json_loaded
 
 

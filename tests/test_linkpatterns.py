@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylorbits.linkpatterns import (
+    OrientedLinkPattern,
     all_patterns,
     count_patterns,
     leq_D,
@@ -44,6 +45,23 @@ def test_pattern_validation():
         olp(4, [(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         olp(3, [(1, 2), (3, 1)])
+
+
+def test_direct_construction_is_validated():
+    with pytest.raises(ValueError):
+        OrientedLinkPattern(3, frozenset({(1, 1)}))
+
+
+def test_equal_patterns_are_equal_cache_keys():
+    a = olp(7, [(2, 5), (6, 1)])
+    b = OrientedLinkPattern(7, frozenset({(6, 1), (2, 5)}))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != olp(7, [(2, 5)]) and a != olp(8, [(2, 5), (6, 1)])
+    assert len({a, b}) == 1
+    table = q_table(a)
+    hits = q_table.cache_info().hits
+    assert q_table(b) is table
+    assert q_table.cache_info().hits == hits + 1
 
 
 def test_olp_from_perm_examples():

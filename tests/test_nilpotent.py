@@ -271,6 +271,15 @@ def test_cascade_a3():
     assert chains == [(a3.highest_root, a3.simple_root(2))]
 
 
+def test_cascade_siblings_do_not_share_children():
+    d4 = build_root_system("D", 4)  # the highest root leaves three A1 components
+    nodes = chain_cascade(d4).children[0].children
+    assert len(nodes) == 3
+    assert len({id(n.children) for n in nodes}) == 3
+    nodes[0].children.append(nodes[1])
+    assert nodes[1].children == [] and nodes[2].children == []
+
+
 def test_cascade_g2():
     g2 = build_root_system("G", 2)
     chains = cascade_chains(chain_cascade(g2))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylorbits.roots import build_root_system
+from weylorbits.quotient import IJKDatum
+from weylorbits.roots import RootSystem, build_root_system
 from weylorbits.weyl import (
     CapExceededError,
     WeylGroup,
@@ -213,6 +214,18 @@ def test_quotient_bruhat_graded(rank):
                 )
                 if not has_middle:
                     assert u.length() == w.length() - 1
+
+
+def test_elements_of_different_systems_are_unequal(a3):
+    c3 = build_root_system("C", 3)
+    a, c = from_word(a3, (3,)), from_word(c3, (3,))
+    assert a.x == c.x  # same key: the third Cartan rows agree
+    assert a != c and c != a
+    assert len({a, c}) == 2
+    assert a == from_word(RootSystem("A", 3), (3,))  # same system, built again
+    qa = IJKDatum(a3, [1], [3]).canonical_rep(a)
+    qc = IJKDatum(c3, [1], [3]).canonical_rep(c)
+    assert qa.rep.x == qc.rep.x and qa != qc
 
 
 def test_action_permutes_roots(a3, ga3):
