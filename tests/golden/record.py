@@ -50,6 +50,13 @@ A5_REVERSED = ("A", 5, "1 2", "4 5", "", "1:5 2:4")
 
 LEVI_E6 = ("1 1 2 2 2 1", "1 1 1 2 1 1", "0 1 1 2 1 0")
 
+# sets whose B2-long reduction drops more than one root: in B4 every pair of
+# e4, e3, e2, e1 conflicts (reduced size 1); in C4 two disjoint pairs do (size 2)
+REDUCTIONS = (
+    ("B", 4, ("0 0 0 1", "0 0 1 1", "0 1 1 1", "1 1 1 1")),
+    ("C", 4, ("0 0 1 0", "0 0 1 1", "1 0 0 0", "1 2 2 1")),
+)
+
 
 def _datum_args(f, r, I, J, K, star=""):
     out = ["--type", f, "--rank", str(r), "--I", I, "--J", J] + (["--K", K] if K else [])
@@ -97,6 +104,9 @@ def cases():
     for tag, lhs, rhs in (("F4", "3 2 3 4", "2 1 3 2 3 4 3"), ("F4-incomparable", "2 1", "1 4 3")):
         out.append((f"compare-{tag}.text", ["compare"] + _datum_args("F", 4, "1", "4", "") + [lhs, rhs]))
     out.append(("selftest-coxeter-B3.text", ["selftest", "--coxeter", "B3"]))
+    for f, r, roots in REDUCTIONS:
+        for fmt in ("text", "json"):
+            out.append((f"classify-reduce-{f}{r}.{fmt}", ["classify", "--type", f, "--rank", str(r), "--format", fmt, *roots]))
     return out
 
 
