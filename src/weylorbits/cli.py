@@ -350,6 +350,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         cover_datum = qt.IJKDatum(build_root_system(family, rank), [1], [3])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for datum in [d for _, _, d in type_a] + [cover_datum]:
+        _enumerate_capped(datum.system)
     for n, r, datum in type_a:
         nodes = datum.quotient_elements()
         lines = [to_line_notation(node.rep) for node in nodes]

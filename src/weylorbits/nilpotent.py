@@ -59,6 +59,14 @@ class OrthogonalSet:
                     out.append(_label(self, gamma, coeffs))
         return tuple(out)
 
+    @cached_property
+    def _characteristic(self) -> Tuple[OrthogonalSet, Coweight, Coweight]:
+        """The B2-long-reduced set, its coroot sum h and the dominant conjugate
+        of h (the characteristic of e), computed once per set."""
+        reduced = reduce_b2long(self)
+        h = reduced.coroot_sum()
+        return reduced, h, self.system.dominantize(h)[0]
+
 
 def orthogonal_set(system: RootSystem, thetas: Sequence[Sequence[int]]) -> OrthogonalSet:
     return OrthogonalSet(system, tuple(tuple(t) for t in thetas))
@@ -186,43 +194,27 @@ def _classify_by_diagram(
 
 
 def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
-    """Drop one member of each pair whose sum (equivalently difference) is a
-    root, repeating until no such pair remains; the higher index is removed."""
+    """Keep each member, in order, that is strongly orthogonal to every member
+    kept before it: of each pair whose sum (equivalently difference) is a
+    root, the higher index is dropped."""
     rs = oset.system
-    thetas = list(oset.thetas)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(thetas)):
-            for j in range(i + 1, len(thetas)):
-                s = tuple(x + y for x, y in zip(thetas[i], thetas[j]))
-                diff = tuple(x - y for x, y in zip(thetas[i], thetas[j]))
-                if rs.is_root(s) or rs.is_root(diff):
-                    del thetas[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    if len(thetas) == oset.r:
-        return oset
-    return OrthogonalSet(rs, tuple(thetas))
+    kept: List[Coords] = []
+    for t in oset.thetas:
+        if all(is_strongly_orthogonal(rs, t, k) for k in kept):
+            kept.append(t)
+    return oset if len(kept) == oset.r else OrthogonalSet(rs, tuple(kept))
 
 
 def height_of_sum(oset: OrthogonalSet) -> int:
     """Height of e = sum of root vectors: the value of the dominant conjugate
     of the coroot sum on the highest root, after B2-long reduction."""
-    rs = oset.system
-    reduced = reduce_b2long(oset)
-    if reduced.r == 0:
-        return 0
+    reduced, _, h_dom = oset._characteristic
     for o in reduced.offenders:
         if all(q.denominator == 1 for q in o.coefficients):
             raise AssertionError(
                 f"integral combination {o.beta} survives the reduction"
             )
-    h = reduced.coroot_sum()
-    h_dom, _ = rs.dominantize(h)
-    return rs.coweight_value(h_dom, rs.highest_root)
+    return oset.system.coweight_value(h_dom, oset.system.highest_root)
 
 
 def _case_supports(oset: OrthogonalSet, case: str) -> List[Tuple[int, ...]]:
@@ -365,9 +357,8 @@ def cascade_chains(root: CascadeNode) -> List[Tuple[Coords, ...]]:
 
 
 def weighted_dynkin(oset: OrthogonalSet) -> Tuple[int, ...]:
-    """Labels alpha_i(h_dom) for h = sum of coroots."""
-    h_dom, _ = oset.system.dominantize(oset.coroot_sum())
-    return h_dom.coords
+    """Labels alpha_i(h_dom) for h the coroot sum of the B2-long-reduced set."""
+    return oset._characteristic[2].coords
 
 
 def grading_dimensions(system: RootSystem, h: Coweight) -> Dict[int, int]:
@@ -431,10 +422,7 @@ def levi_and_involution(oset: OrthogonalSet) -> InvolutionReport:
     """Levi simple roots (h = 0 wall), the action of s_{theta_1}...s_{theta_r}
     on them, and the folded type after identifying negated-swapped components."""
     rs = oset.system
-    h = oset.coroot_sum()
-    levi = tuple(
-        i for i in range(1, rs.rank + 1) if rs.coweight_value(h, rs.simple_root(i)) == 0
-    )
+    levi = tuple(i for i, c in enumerate(oset.coroot_sum().coords, 1) if c == 0)
     # the thetas are orthogonal, so their reflections commute
     action = {i: reduce(rs.reflect, oset.thetas, rs.simple_root(i)) for i in levi}
     fixed = []
@@ -518,10 +506,8 @@ def classify(oset: OrthogonalSet) -> ClassificationReport:
         if label.case not in seen:
             seen.add(label.case)
             cases.append(label)
-    reduced = reduce_b2long(oset)
     verdict = is_spherical(oset)
-    h = reduced.coroot_sum()
-    h_dom, _ = oset.system.dominantize(h)
+    reduced, h, h_dom = oset._characteristic
     return ClassificationReport(
         oset=oset,
         rationally_orthogonal=rat,

@@ -271,8 +271,12 @@ class RootSystem:
     # -- coweights -----------------------------------------------------------
 
     def coroot(self, b: Coords) -> Coweight:
-        """b^vee as a coweight: value on alpha_i is <alpha_i, b^vee>."""
-        return Coweight(tuple(self.pairing(self.simple_root(i + 1), b) for i in range(self.rank)))
+        """b^vee as a coweight: value on alpha_i is <alpha_i, b^vee> = 2 (B b)_i / (b, b)."""
+        n = self.norm(b)
+        values = [divmod(2 * sum(map(mul, row, b)), n) for row in self.gram]
+        if any(r for _, r in values):
+            raise ValueError("pairing is not integral; b is not a root")
+        return Coweight(tuple(q for q, _ in values))
 
     def coweight_value(self, h: Coweight, v: Coords) -> int:
         """Value of h on a root-lattice element v."""
@@ -299,10 +303,11 @@ class RootSystem:
         """Coefficients (q_i) with gamma = sum q_i beta_i, or None if outside the span.
 
         The roots must be pairwise orthogonal (ValueError otherwise); the
-        coefficients are the exact projections (gamma, beta_i)/(beta_i, beta_i).
-        A scan passes the same roots for every gamma, so the last roots are kept
-        with B beta_i, their norms n_i and L = lcm(n_i): gamma is in the span
-        iff sum (gamma . B beta_i) (L / n_i) beta_i = L gamma, all in integers.
+        coefficients are the exact projections p_i / n_i, with p_i = (gamma,
+        beta_i) and n_i = (beta_i, beta_i). By Bessel's equality gamma is in the
+        span iff L (gamma, gamma) = sum p_i^2 (L / n_i), where L = lcm(n_i), all
+        in integers. A scan passes the same roots for every gamma, so the last
+        roots are kept with B beta_i, n_i and L.
         """
         key = tuple(map(tuple, roots))
         memo = self._span_memo
@@ -311,17 +316,10 @@ class RootSystem:
                 raise ValueError("input roots are not pairwise orthogonal")
             forms = [tuple(sum(map(mul, row, b)) for row in self.gram) for b in key]
             norms = [sum(map(mul, b, f)) for b, f in zip(key, forms)]
-            lcm = math.lcm(*norms)
-            scaled = [tuple(lcm // m * x for x in b) for b, m in zip(key, norms)]
-            memo = self._span_memo = (key, forms, norms, scaled, lcm)
-        _, forms, norms, scaled, lcm = memo
+            memo = self._span_memo = (key, forms, norms, math.lcm(*norms))
+        _, forms, norms, lcm = memo
         proj = [sum(map(mul, gamma, f)) for f in forms]
-        if not any(proj) and any(gamma):
-            return None  # orthogonal to the span and not zero
-        rest = [lcm * g for g in gamma]  # L gamma - sum p_i (L / n_i) beta_i
-        for p, b in zip(proj, scaled):
-            rest = [r - p * x for r, x in zip(rest, b)]
-        if any(rest):
+        if lcm * self.norm(gamma) != sum(p * p * (lcm // m) for p, m in zip(proj, norms)):
             return None
         from fractions import Fraction  # only members need it; a miss returned above
         return tuple(Fraction(p, m) for p, m in zip(proj, norms))

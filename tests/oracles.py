@@ -210,6 +210,28 @@ def projection_span_membership(
     return coeffs if recon == list(gamma) else None
 
 
+def reduce_b2long_by_restart(oset: OrthogonalSet) -> Tuple[Coords, ...]:
+    """The B2-long reduction by restarts: delete the higher member of the
+    first pair (in index order) whose sum or difference is a root, and start
+    over until no such pair is left."""
+    rs = oset.system
+    thetas = list(oset.thetas)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(thetas)):
+            for j in range(i + 1, len(thetas)):
+                s = tuple(x + y for x, y in zip(thetas[i], thetas[j]))
+                diff = tuple(x - y for x, y in zip(thetas[i], thetas[j]))
+                if rs.is_root(s) or rs.is_root(diff):
+                    del thetas[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return tuple(thetas)
+
+
 def _solve_square(aug: List[List[Fraction]]) -> Optional[List[Fraction]]:
     """Solve a square augmented system by Gaussian elimination."""
     n = len(aug)

@@ -306,6 +306,20 @@ def test_orbits_honours_cap(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [("selftest",), ("selftest", "--nr", "9 2")])
+def test_selftest_honours_cap(capsys, monkeypatch, argv):
+    # S_9 has 362880 elements: the cap must stop the run before the checks
+    monkeypatch.setenv("WEYLORBITS_CAP", "5")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: enumeration cap exceeded; partial size 5\n"
+
+
+def test_selftest_bad_nr_beats_cap(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLORBITS_CAP", "5")
+    _assert_usage_error(capsys, "selftest", "--nr", "3")
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 

@@ -28,7 +28,7 @@ from weylorbits.nilpotent import (
 from weylorbits.roots import CLASSICAL_COUNTS, Coweight, RootSystem, build_root_system
 from weylorbits.weyl import from_word, reflection
 
-from oracles import ALL_SYSTEMS, involution_element, stabilizer_dimension
+from oracles import ALL_SYSTEMS, involution_element, reduce_b2long_by_restart, stabilizer_dimension
 
 
 def neg(v):
@@ -202,6 +202,14 @@ def test_reduce_b2long():
                 assert is_strongly_orthogonal(rs, a, b) or not rs.is_root(add(a, b))
 
 
+@pytest.mark.parametrize("family,rank", [("B", 3), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2)])
+def test_reduce_b2long_matches_restart_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    for subset in orthogonal_subsets(rs, 4):
+        oset = orthogonal_set(rs, subset)
+        assert reduce_b2long(oset).thetas == reduce_b2long_by_restart(oset), subset
+
+
 def test_lemma_one_root():
     # if theta_i - theta_j is a root, theta_k + theta_i - theta_j never is
     for family, rank in [("B", 4), ("C", 3), ("F", 4)]:
@@ -344,6 +352,21 @@ def test_weighted_dynkin():
         w = reflection(d4, beta)
         moved = tuple(w.apply(t) for t in thetas)
         assert weighted_dynkin(orthogonal_set(d4, moved)) == labels
+
+
+def test_weighted_dynkin_reads_the_reduced_set():
+    # e_eps3 + e_eps2 in B3 has Jordan type [3, 1, 1, 1, 1] and diagram
+    # (2, 0, 0); the unreduced coroot sum would dominantize to (0, 2, 0)
+    b3 = build_root_system("B", 3)
+    assert weighted_dynkin(orthogonal_set(b3, ((0, 0, 1), (0, 1, 1)))) == (2, 0, 0)
+    count = 0
+    for family, rank in [("B", 3), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        for subset in orthogonal_subsets(rs, 4):
+            oset = orthogonal_set(rs, subset)
+            assert weighted_dynkin(oset) == classify(oset).dynkin_labels, subset
+            count += 1
+    assert count == 559
 
 
 def test_grading_dimensions_a_series():

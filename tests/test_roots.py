@@ -212,15 +212,33 @@ def test_span_membership_matches_projection_oracle(family, rank):
     pos = rs.positive_roots
     osets = [
         s
-        for k in range(1, 4)
+        for k in range(4)
         for s in combinations(pos, k)
         if all(rs.form(a, b) == 0 for a, b in combinations(s, 2))
     ]
+    assert osets[0] == ()  # the empty list spans only 0
     for thetas in osets:
-        for gamma in rs.roots + ((0,) * rank,):
+        # 0 is in every span; 2 theta_1 is in the span but is not a root
+        extra = ((0,) * rank,) + ((tuple(2 * x for x in thetas[0]),) if thetas else ())
+        for gamma in rs.roots + extra:
             assert rs.span_membership(thetas, gamma) == projection_span_membership(
                 rs, thetas, gamma
             )
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_coroot_matches_pairings(family, rank):
+    rs = build_root_system(family, rank)
+    for b in rs.roots:
+        assert rs.coroot(b).coords == tuple(
+            rs.pairing(rs.simple_root(i), b) for i in range(1, rank + 1)
+        )
+
+
+def test_coroot_of_a_non_root_raises():
+    # (2, 1) = 2 alpha_1 + alpha_2 in B2: <alpha_1, b^vee> = 12/10
+    with pytest.raises(ValueError, match="not integral"):
+        build_root_system("B", 2).coroot((2, 1))
 
 
 def test_span_membership_checks_orthogonality_after_a_valid_call():
