@@ -57,6 +57,14 @@ REDUCTIONS = (
     ("C", 4, ("0 0 1 0", "0 0 1 1", "1 0 0 0", "1 2 2 1")),
 )
 
+# maximal sets of E7 and E8 with D4 offenders (height 4, not spherical)
+EXCEPTIONAL_OFFENDERS = (
+    ("E", 7, ("2 2 3 4 3 2 1", "0 1 1 2 2 2 1", "0 0 0 0 0 0 1", "0 1 1 2 1 0 0",
+              "0 0 0 0 1 0 0", "0 0 1 0 0 0 0", "0 1 0 0 0 0 0")),
+    ("E", 8, ("2 3 4 6 5 4 3 2", "2 2 3 4 3 2 1 0", "0 1 1 2 2 2 1 0", "0 0 0 0 0 0 1 0",
+              "0 1 1 2 1 0 0 0", "0 0 0 0 1 0 0 0", "0 0 1 0 0 0 0 0", "0 1 0 0 0 0 0 0")),
+)
+
 
 def _datum_args(f, r, I, J, K, star=""):
     out = ["--type", f, "--rank", str(r), "--I", I, "--J", J] + (["--K", K] if K else [])
@@ -107,6 +115,9 @@ def cases():
     for f, r, roots in REDUCTIONS:
         for fmt in ("text", "json"):
             out.append((f"classify-reduce-{f}{r}.{fmt}", ["classify", "--type", f, "--rank", str(r), "--format", fmt, *roots]))
+    for f, r, roots in EXCEPTIONAL_OFFENDERS:
+        for fmt in ("text", "json"):
+            out.append((f"classify-offender-{f}{r}.{fmt}", ["classify", "--type", f, "--rank", str(r), "--format", fmt, *roots]))
     return out
 
 
