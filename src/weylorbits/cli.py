@@ -345,13 +345,17 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         family, rank = coxeter[0].upper(), int(coxeter[1:])
     except ValueError as exc:
         raise UsageError(f"cannot parse --coxeter {coxeter!r}; expected e.g. B3") from exc
+    if any(r < 1 or 2 * r > n for n, r in pairs_nr):
+        raise UsageError("need 1 <= 2r <= n")
+    cover_system = _build_system(family, rank)
+    # the cap goes first: building a datum enumerates its group
+    for system in [_build_system("A", n - 1) for n, _ in pairs_nr] + [cover_system]:
+        _enumerate_capped(system)
     try:
         type_a = [(n, r, lp.type_a_datum(n, r)) for n, r in pairs_nr]
-        cover_datum = qt.IJKDatum(build_root_system(family, rank), [1], [3])
+        cover_datum = qt.IJKDatum(cover_system, [1], [3])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for datum in [d for _, _, d in type_a] + [cover_datum]:
-        _enumerate_capped(datum.system)
     for n, r, datum in type_a:
         nodes = datum.quotient_elements()
         lines = [to_line_notation(node.rep) for node in nodes]

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -313,6 +315,22 @@ def test_selftest_honours_cap(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err == "error: enumeration cap exceeded; partial size 5\n"
+
+
+def test_selftest_caps_before_enumerating():
+    # a fresh interpreter, so no earlier test has built S_9: the cap must stop
+    # the run before the --nr datum enumerates its group
+    script = (
+        "import sys\n"
+        "from weylorbits.cli import main\n"
+        "from weylorbits.roots import build_root_system\n"
+        "code = main(['selftest', '--nr', '9 2'])\n"
+        "print(code, getattr(build_root_system('A', 8), '_weyl_group', None) is None)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, WEYLORBITS_CAP="5", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.stdout == "3 True\n", proc.stderr
 
 
 def test_selftest_bad_nr_beats_cap(capsys, monkeypatch):
