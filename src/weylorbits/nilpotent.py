@@ -109,11 +109,12 @@ def _is_long(system: RootSystem, v: Coords) -> bool:
 
 
 def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
-    """Label the combination beta = sum q_i theta_i by its case.
+    """Label the combination beta = sum q_i theta_i by its case, read from
+    the count, lengths and coefficients of its support.
 
-    Classified twice: once by the count/length/coefficient pattern of the
-    support, once by the generalized Cartan matrix on the support together
-    with -beta (an affine diagram); the two labels must agree.
+    tests/test_census.py checks this label against the affine diagram on the
+    support together with -beta, on every W-class of orthogonal sets of
+    every supported system of rank at most 8.
     """
     coeffs = oset.system.span_membership(oset.thetas, beta)
     if coeffs is None:
@@ -122,21 +123,10 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
 
 
 def _label(oset: OrthogonalSet, beta: Coords, coeffs: Tuple[Fraction, ...]) -> CaseLabel:
-    rs = oset.system
     support = [(t, q) for t, q in zip(oset.thetas, coeffs) if q != 0]
     if not support:
         raise ValueError("beta is zero")
-    # normalize signs so every coefficient is positive
-    normalized = [
-        (t if q > 0 else tuple(-x for x in t), abs(q)) for t, q in support
-    ]
-    by_pattern = _classify_by_pattern(rs, normalized, beta)
-    by_diagram = _classify_by_diagram(rs, normalized, beta)
-    if by_pattern != by_diagram:
-        raise AssertionError(
-            f"classification mismatch: {by_pattern} vs {by_diagram}"
-        )
-    return CaseLabel(by_pattern, beta, coeffs)
+    return CaseLabel(_classify_by_pattern(oset.system, support, beta), beta, coeffs)
 
 
 def _classify_by_pattern(
@@ -144,7 +134,7 @@ def _classify_by_pattern(
 ) -> str:
     k = len(support)
     half = Fraction(1, 2)
-    qs = sorted(q for _, q in support)
+    qs = sorted(abs(q) for _, q in support)
     longs = [_is_long(rs, t) for t, _ in support]
     beta_long = _is_long(rs, beta)
     if k == 1:
@@ -164,33 +154,6 @@ def _classify_by_pattern(
         if longs[0] != longs[1]:
             return "G2both"
     raise AssertionError(f"no case matches coefficients {qs}")
-
-
-# Multisets of pairs (<theta_i, (-beta)^vee>, <-beta, theta_i^vee>) for the
-# affine diagrams of the seven cases, after sign normalization.
-_DIAGRAM_SIGNATURES = {
-    ("D4", 4): ((-1, -1), (-1, -1), (-1, -1), (-1, -1)),
-    ("B3", 3): ((-1, -1), (-1, -1), (-1, -2)),
-    ("C3", 3): ((-1, -1), (-1, -1), (-2, -1)),
-    ("B2long", 2): ((-1, -2), (-1, -2)),
-    ("B2short", 2): ((-2, -1), (-2, -1)),
-    ("G2both:G", 2): ((-1, -1), (-1, -3)),
-    ("G2both:D", 2): ((-1, -1), (-3, -1)),
-    ("A1", 1): ((-2, -2),),
-}
-
-
-def _classify_by_diagram(
-    rs: RootSystem, support: List[Tuple[Coords, Fraction]], beta: Coords
-) -> str:
-    minus = tuple(-x for x in beta)
-    sig = tuple(
-        sorted((rs.pairing(t, minus), rs.pairing(minus, t)) for t, _ in support)
-    )
-    for (case, k), pattern in _DIAGRAM_SIGNATURES.items():
-        if k == len(support) and tuple(sorted(pattern)) == sig:
-            return case.split(":")[0]
-    raise AssertionError(f"no affine diagram matches signature {sig}")
 
 
 def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
@@ -241,32 +204,16 @@ class SphericalVerdict(NamedTuple):
 
 
 def is_spherical(oset: OrthogonalSet) -> SphericalVerdict:
-    """Sphericality of the orbit of e, decided two independent ways.
+    """Sphericality of the orbit of e: spherical iff e has height at most 3
+    (Panyushev 1994).
 
-    Route one is height <= 3; route two is the direct pattern test per family
-    (D4 quadruple in types D/E, B3 triple or two disjoint B2-short pairs in
-    types B/F, G2-both pair in type G). The two must agree.
+    tests/test_census.py checks this verdict against the direct pattern test
+    per family (D4 quadruple in types D/E, B3 triple or two disjoint B2-short
+    pairs in types B/F, G2-both pair in type G) on every W-class of
+    orthogonal sets of every supported system of rank at most 8.
     """
     height = height_of_sum(oset)
-    by_height = height <= 3
-    family = oset.system.family
-    if family in ("A", "C"):
-        non_spherical = False
-    elif family in ("D", "E"):
-        non_spherical = bool(_case_supports(oset, "D4"))
-    elif family in ("B", "F"):
-        pairs = _case_supports(oset, "B2short")
-        non_spherical = bool(_case_supports(oset, "B3")) or any(
-            not set(a) & set(b) for i, a in enumerate(pairs) for b in pairs[i + 1 :]
-        )
-    else:  # G2
-        non_spherical = bool(_case_supports(oset, "G2both"))
-    by_pattern = not non_spherical
-    if by_height != by_pattern:
-        raise AssertionError(
-            f"sphericality disagreement: height {height} vs pattern {by_pattern}"
-        )
-    return SphericalVerdict(by_height, height)
+    return SphericalVerdict(height <= 3, height)
 
 
 def type_b_height(oset: OrthogonalSet) -> int:

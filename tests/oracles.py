@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from weylorbits.linkpatterns import OrientedLinkPattern, matrix_from_olp
-from weylorbits.nilpotent import OrthogonalSet
+from weylorbits.nilpotent import CaseLabel, OrthogonalSet, _case_supports
 from weylorbits.quotient import IJKDatum, QuotientElement
 from weylorbits.roots import Coords, Coweight, RootSystem
 from weylorbits.weyl import WeylElement, from_word, identity, reflection
@@ -271,3 +273,213 @@ def coweight_from_coroot_basis(system: RootSystem, c: Sequence[Fraction]) -> Cow
             raise ValueError("not an integral coweight")
         coords.append(int(v))
     return Coweight(tuple(coords))
+
+
+# -- orthogonal sets up to W-conjugacy ----------------------------------------
+
+
+def orthogonal_subsets(system: RootSystem, max_size: int) -> List[Tuple[Coords, ...]]:
+    """All pairwise-orthogonal subsets of the positive roots, up to max_size,
+    each in the order of system.positive_roots: every orthogonal set up to
+    the signs of its roots."""
+    pos = system.positive_roots
+    out: List[Tuple[Coords, ...]] = []
+    frontier: List[Tuple[Coords, ...]] = [()]
+    while frontier:
+        new = []
+        for subset in frontier:
+            start = pos.index(subset[-1]) + 1 if subset else 0
+            for v in pos[start:]:
+                if all(system.form(v, t) == 0 for t in subset):
+                    new.append(subset + (v,))
+        out.extend(new)
+        frontier = [s for s in new if len(s) < max_size]
+    return out
+
+
+def random_orthogonal_set(rs: RootSystem, size: int, rng: random.Random) -> OrthogonalSet:
+    """A random orthogonal set of the given size, grown one root at a time."""
+    while True:
+        thetas = []
+        pool = list(rs.roots)
+        while len(thetas) < size and pool:
+            t = rng.choice(pool)
+            thetas.append(t)
+            bt = [sum(map(mul, row, t)) for row in rs.gram]  # (v, t) = v . B t
+            pool = [v for v in pool if not sum(map(mul, v, bt))]
+        if len(thetas) == size:
+            return OrthogonalSet(rs, tuple(thetas))
+
+
+def up_to_sign(v: Coords) -> Coords:
+    """The positive one of the roots v and -v."""
+    return v if max(v) > 0 else tuple(-x for x in v)
+
+
+def _reflect_simple(v: Coords, i: int, c: int) -> Coords:
+    """s_i(v) = v - c alpha_i for c = (A v)_i, 0-based i."""
+    if not c:
+        return v
+    out = list(v)
+    out[i] -= c
+    return tuple(out)
+
+
+class CanonicalForm:
+    """W-conjugacy canonical form of orthogonal sets of one root system, up
+    to the order and signs of their roots (s_theta negates theta and fixes
+    the other members, so signs are free).
+
+    Pick a member and a sign, move it to its J-dominant conjugate under the
+    standard parabolic W_J ((A v)_i >= 0 for i in J, starting from every
+    simple index), apply the same word to the other members, shrink J to the
+    indices with (A v)_i == 0 and recurse on the rest. The stabilizer of a
+    J-dominant vector in W_J is the standard parabolic of those indices
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), so every choice
+    yields a W-invariant sequence; the form is the lexicographic minimum over
+    all choices, memoized on (remaining roots up to sign, J).
+    """
+
+    def __init__(self, system: RootSystem):
+        self.system = system
+        self._memo: Dict[Tuple[FrozenSet[Coords], Tuple[int, ...]], Tuple[Coords, ...]] = {}
+        self._dominants: Dict[Tuple[Coords, Tuple[int, ...]], tuple] = {}
+        self._images: Dict[Tuple[Coords, Coords, Tuple[int, ...]], Coords] = {}
+
+    def __call__(self, thetas: Sequence[Coords]) -> Tuple[Coords, ...]:
+        rest = frozenset(up_to_sign(tuple(t)) for t in thetas)
+        return self._best(rest, tuple(range(self.system.rank)))
+
+    def _dominant(self, v: Coords, J: Tuple[int, ...]) -> Tuple[Coords, List[int], Tuple[int, ...]]:
+        """The J-dominant conjugate of v, the 0-based word that reaches it and
+        the indices of J that fix it."""
+        key = (v, J)
+        found = self._dominants.get(key)
+        if found is None:
+            rs = self.system
+            word = []
+            while True:
+                av = [sum(map(mul, row, v)) for row in rs.cartan]
+                i = next((i for i in J if av[i] < 0), None)
+                if i is None:
+                    break
+                v = _reflect_simple(v, i, av[i])
+                word.append(i)
+            found = self._dominants[key] = (v, word, tuple(i for i in J if av[i] == 0))
+        return found
+
+    def _image(self, u: Coords, start: Coords, J: Tuple[int, ...]) -> Coords:
+        """u, up to sign, under the word that makes start J-dominant."""
+        key = (u, start, J)
+        found = self._images.get(key)
+        if found is None:
+            cartan = self.system.cartan
+            for i in self._dominant(start, J)[1]:
+                u = _reflect_simple(u, i, sum(map(mul, cartan[i], u)))
+            found = self._images[key] = up_to_sign(u)
+        return found
+
+    def _best(self, rest: FrozenSet[Coords], J: Tuple[int, ...]) -> Tuple[Coords, ...]:
+        if not rest:
+            return ()
+        key = (rest, J)
+        found = self._memo.get(key)
+        if found is None:
+            choices = [
+                (t, start) + self._dominant(start, J)
+                for t in rest
+                for start in (t, tuple(-x for x in t))
+            ]
+            # the minimum starts with the least dominant member: recurse on ties only
+            first = min(c[2] for c in choices)
+            for t, start, v, _, stab in choices:
+                if v == first:
+                    moved = frozenset(self._image(u, start, J) for u in rest if u != t)
+                    cand = (v,) + self._best(moved, stab)
+                    if found is None or cand < found:
+                        found = cand
+            self._memo[key] = found
+        return found
+
+
+def census(system: RootSystem, canonical: Optional[CanonicalForm] = None) -> List[List[Tuple[Coords, ...]]]:
+    """One representative of every W-class of nonempty orthogonal sets,
+    grouped by size: each representative of size k is extended by every
+    positive root orthogonal to it, keeping one set per canonical form.
+    Complete by induction, since every (k+1)-set contains a k-set conjugate
+    to a representative."""
+    canonical = canonical or CanonicalForm(system)
+    levels: List[List[Tuple[Coords, ...]]] = []
+    frontier: List[Tuple[Coords, ...]] = [()]
+    while frontier:
+        grown: Dict[Tuple[Coords, ...], Tuple[Coords, ...]] = {}
+        for rep in frontier:
+            for beta in system.positive_roots:
+                if beta not in rep and all(system.form(beta, t) == 0 for t in rep):
+                    grown.setdefault(canonical(rep + (beta,)), rep + (beta,))
+        frontier = list(grown.values())
+        if frontier:
+            levels.append(frontier)
+    return levels
+
+
+# -- second routes for the classification decisions -----------------------------
+
+
+# Multisets of pairs (<theta_i, (-beta)^vee>, <-beta, theta_i^vee>) for the
+# affine diagrams of the seven cases, after sign normalization.
+_DIAGRAM_SIGNATURES = {
+    ("D4", 4): ((-1, -1), (-1, -1), (-1, -1), (-1, -1)),
+    ("B3", 3): ((-1, -1), (-1, -1), (-1, -2)),
+    ("C3", 3): ((-1, -1), (-1, -1), (-2, -1)),
+    ("B2long", 2): ((-1, -2), (-1, -2)),
+    ("B2short", 2): ((-2, -1), (-2, -1)),
+    ("G2both:G", 2): ((-1, -1), (-1, -3)),
+    ("G2both:D", 2): ((-1, -1), (-3, -1)),
+    ("A1", 1): ((-2, -2),),
+}
+
+
+def _classify_by_diagram(
+    rs: RootSystem, support: List[Tuple[Coords, Fraction]], beta: Coords
+) -> str:
+    minus = tuple(-x for x in beta)
+    sig = tuple(
+        sorted((rs.pairing(t, minus), rs.pairing(minus, t)) for t, _ in support)
+    )
+    for (case, k), pattern in _DIAGRAM_SIGNATURES.items():
+        if k == len(support) and tuple(sorted(pattern)) == sig:
+            return case.split(":")[0]
+    raise AssertionError(f"no affine diagram matches signature {sig}")
+
+
+def label_by_diagram(oset: OrthogonalSet, label: CaseLabel) -> str:
+    """The case of a combination from the generalized Cartan matrix on its
+    support together with -beta (an affine diagram), the support's roots
+    signed so that every coefficient is positive."""
+    support = [
+        (t if q > 0 else tuple(-x for x in t), abs(q))
+        for t, q in zip(oset.thetas, label.coefficients)
+        if q != 0
+    ]
+    return _classify_by_diagram(oset.system, support, label.beta)
+
+
+def spherical_by_pattern(oset: OrthogonalSet) -> bool:
+    """Sphericality by the direct pattern test per family: not spherical iff
+    a D4 quadruple in types D/E, a B3 triple or two disjoint B2-short pairs
+    in types B/F, a G2-both pair in type G; types A and C are always
+    spherical."""
+    family = oset.system.family
+    if family in ("A", "C"):
+        non_spherical = False
+    elif family in ("D", "E"):
+        non_spherical = bool(_case_supports(oset, "D4"))
+    elif family in ("B", "F"):
+        pairs = _case_supports(oset, "B2short")
+        non_spherical = bool(_case_supports(oset, "B3")) or any(
+            not set(a) & set(b) for i, a in enumerate(pairs) for b in pairs[i + 1 :]
+        )
+    else:  # G2
+        non_spherical = bool(_case_supports(oset, "G2both"))
+    return not non_spherical

@@ -28,7 +28,14 @@ from weylorbits.nilpotent import (
 from weylorbits.roots import CLASSICAL_COUNTS, Coweight, RootSystem, build_root_system
 from weylorbits.weyl import from_word, reflection
 
-from oracles import ALL_SYSTEMS, involution_element, reduce_b2long_by_restart, stabilizer_dimension
+from oracles import (
+    ALL_SYSTEMS,
+    involution_element,
+    orthogonal_subsets,
+    random_orthogonal_set,
+    reduce_b2long_by_restart,
+    stabilizer_dimension,
+)
 
 
 def neg(v):
@@ -37,24 +44,6 @@ def neg(v):
 
 def add(*vs):
     return tuple(sum(c) for c in zip(*vs))
-
-
-def orthogonal_subsets(system, max_size):
-    """All pairwise-orthogonal subsets of the positive roots, up to max_size."""
-    pos = system.positive_roots
-    out = [()]
-    frontier = [()]
-    while frontier:
-        new = []
-        for subset in frontier:
-            start = pos.index(subset[-1]) + 1 if subset else 0
-            for v in pos[start:]:
-                if all(system.form(v, t) == 0 for t in subset):
-                    grown = subset + (v,)
-                    new.append(grown)
-        out.extend(new)
-        frontier = [s for s in new if len(s) < max_size]
-    return [s for s in out if s]
 
 
 @pytest.fixture(scope="module")
@@ -454,26 +443,13 @@ def test_sigma_action_matches_involution_element(family, rank):
             _assert_sigma_action_is_the_involution(OrthogonalSet(rs, thetas))
 
 
-def _random_orthogonal_set(rs, size, rng):
-    """A random orthogonal set of the given size, grown one root at a time."""
-    while True:
-        thetas = []
-        pool = list(rs.roots)
-        while len(thetas) < size and pool:
-            t = rng.choice(pool)
-            thetas.append(t)
-            pool = [v for v in pool if rs.form(v, t) == 0]
-        if len(thetas) == size:
-            return OrthogonalSet(rs, tuple(thetas))
-
-
 @pytest.mark.parametrize("rank,max_size", [(6, 4), (7, 7), (8, 8)])
 def test_sigma_action_matches_involution_element_exceptional(rank, max_size):
     rs = build_root_system("E", rank)
     rng = random.Random(rank)
     for size in range(1, max_size + 1):
         for _ in range(4):
-            _assert_sigma_action_is_the_involution(_random_orthogonal_set(rs, size, rng))
+            _assert_sigma_action_is_the_involution(random_orthogonal_set(rs, size, rng))
 
 
 def test_classify_report(b3):
