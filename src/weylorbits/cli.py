@@ -11,18 +11,13 @@ inside the commands that use them, so a command loads only what it runs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .roots import RootSystem, build_root_system, InvalidRankError
-from .weyl import (
-    CapExceededError,
-    from_line_notation,
-    from_word,
-    to_line_notation,
-    weyl_group,
-)
+from .roots import RootSystem, build_root_system, degrees, InvalidRankError
+from .weyl import CapExceededError, WeylGroup, from_line_notation, from_word, to_line_notation
 
 if TYPE_CHECKING:
     from . import nilpotent as nil
@@ -74,28 +69,34 @@ def _build_system(family: str, rank: int) -> RootSystem:
         raise UsageError(str(exc)) from exc
 
 
-def _enumerate_capped(system: RootSystem) -> None:
-    """Enumerate the Weyl group under the WEYLORBITS_CAP size limit, if set.
+def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
+    """The root systems, built only after every one is known to be supported
+    (UsageError otherwise) and the largest Weyl group, of order the product of
+    its degrees, to fit under WEYLORBITS_CAP (WeylGroup.DEFAULT_CAP if unset).
 
-    Only commands that enumerate the group call this; classify and cascade
-    work on roots and keys alone.
+    Only commands that enumerate groups call this; classify and cascade work
+    on roots and keys alone and ignore the cap.
     """
+    try:
+        order = max(math.prod(degrees(family.upper(), rank)) for family, rank in systems)
+    except InvalidRankError as exc:
+        raise UsageError(str(exc)) from exc
     cap = os.environ.get("WEYLORBITS_CAP")
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError as exc:
-            raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}") from exc
-        if limit < 1:
-            raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
-        weyl_group(system, cap=limit)
+    try:
+        limit = WeylGroup.DEFAULT_CAP if cap is None else int(cap)
+    except ValueError as exc:
+        raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}") from exc
+    if limit < 1:
+        raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
+    if order > limit:
+        raise CapExceededError(limit)
+    return [build_root_system(family, rank) for family, rank in systems]
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
     from . import quotient as qt
 
-    system = _build_system(args.type, args.rank)
-    _enumerate_capped(system)
+    [system] = _capped_systems((args.type, args.rank))
     I = _parse_ints(args.I) if args.I else []
     J = _parse_ints(args.J) if args.J else []
     K = _parse_ints(args.K) if args.K else []
@@ -284,7 +285,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     if 2 * r > n or r < 0:
         raise UsageError("need 0 <= 2r <= n")
     if r:
-        _enumerate_capped(_build_system("A", n - 1))  # orbit_pair_params enumerates it
+        _capped_systems(("A", n - 1))  # orbit_pair_params enumerates its group
     params = lp.orbit_pair_params(n, r)
     rows = []
     for (w1inv, w2inv), line, zdim in params:
@@ -347,10 +348,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot parse --coxeter {coxeter!r}; expected e.g. B3") from exc
     if any(r < 1 or 2 * r > n for n, r in pairs_nr):
         raise UsageError("need 1 <= 2r <= n")
-    cover_system = _build_system(family, rank)
-    # the cap goes first: building a datum enumerates its group
-    for system in [_build_system("A", n - 1) for n, _ in pairs_nr] + [cover_system]:
-        _enumerate_capped(system)
+    *_, cover_system = _capped_systems(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))
     try:
         type_a = [(n, r, lp.type_a_datum(n, r)) for n, r in pairs_nr]
         cover_datum = qt.IJKDatum(cover_system, [1], [3])

@@ -81,20 +81,14 @@ class IJKDatum:
             self.star_map.values()
         ) != list(self.J):
             raise ValueError("star must be a bijection I -> J")
-        # diagram isomorphism: matching Coxeter exponents m(s,t) <-> m(s*,t*)
+        # diagram isomorphism: m(s,t) = m(s*,t*), and m(s,t) is fixed by the
+        # product a_st a_ts (0, 1, 2, 3 for m = 2, 3, 4, 6)
+        a, star = rs.cartan, self.star_map
         for s in self.I:
             for t in self.I:
-                if self._coxeter_m(s, t) != self._coxeter_m(
-                    self.star_map[s], self.star_map[t]
-                ):
+                u, v = star[s], star[t]
+                if a[s - 1][t - 1] * a[t - 1][s - 1] != a[u - 1][v - 1] * a[v - 1][u - 1]:
                     raise ValueError("star is not a Coxeter-diagram isomorphism")
-
-    def _coxeter_m(self, s: int, t: int) -> int:
-        if s == t:
-            return 1
-        rs = self.system
-        prod = rs.cartan[s - 1][t - 1] * rs.cartan[t - 1][s - 1]
-        return {0: 2, 1: 3, 2: 4, 3: 6}[prod]
 
     # -- star and cosets ----------------------------------------------------
 

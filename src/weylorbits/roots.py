@@ -21,17 +21,14 @@ if TYPE_CHECKING:
 
 Coords = Tuple[int, ...]
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-# Number of roots for each supported (family, rank).
-CLASSICAL_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
+# Degrees of the exceptional Weyl groups (Humphreys, Reflection Groups and
+# Coxeter Groups, 3.7, Table 1).
+_EXCEPTIONAL_DEGREES = {
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+    ("F", 4): (2, 6, 8, 12),
+    ("G", 2): (2, 6),
 }
 
 
@@ -39,20 +36,19 @@ class InvalidRankError(ValueError):
     """Unsupported (family, rank) combination."""
 
 
-def _rank_ok(family: str, rank: int) -> bool:
-    if family == "A":
-        return rank >= 1
-    if family in ("B", "C"):
-        return rank >= 2
-    if family == "D":
-        return rank >= 3
-    if family == "E":
-        return rank in (6, 7, 8)
-    if family == "F":
-        return rank == 4
-    if family == "G":
-        return rank == 2
-    return False
+def degrees(family: str, rank: int) -> Tuple[int, ...]:
+    """Degrees of the basic invariants of the Weyl group: |W| is their
+    product and the number of positive roots is the sum of d - 1.
+    InvalidRankError for an unsupported system."""
+    if family == "A" and rank >= 1:
+        return tuple(range(2, rank + 2))
+    if family in ("B", "C") and rank >= 2:
+        return tuple(range(2, 2 * rank + 1, 2))
+    if family == "D" and rank >= 3:
+        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
+    if (family, rank) in _EXCEPTIONAL_DEGREES:
+        return _EXCEPTIONAL_DEGREES[family, rank]
+    raise InvalidRankError(f"unsupported root system {family}{rank}")
 
 
 def _diagram_edges(family: str, rank: int) -> List[Tuple[int, int, int, int]]:
@@ -173,8 +169,7 @@ class RootSystem:
     """Immutable root system built by reflection closure from the simple roots."""
 
     def __init__(self, family: str, rank: int):
-        if not _rank_ok(family, rank):
-            raise InvalidRankError(f"unsupported root system {family}{rank}")
+        expected = 2 * sum(d - 1 for d in degrees(family, rank))
         self.family = family
         self.rank = rank
         self.cartan = cartan_matrix(family, rank)
@@ -190,7 +185,6 @@ class RootSystem:
         self.norms: Dict[Coords, int] = self._generate()
         self.roots: Tuple[Coords, ...] = tuple(sorted(self.norms))
         self.root_set = frozenset(self.roots)
-        expected = CLASSICAL_COUNTS[family](rank)
         if len(self.roots) != expected:
             raise AssertionError(f"{family}{rank} has {len(self.roots)} roots, expected {expected}")
         self.positive_roots: Tuple[Coords, ...] = tuple(

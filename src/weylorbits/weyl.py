@@ -19,13 +19,14 @@ notation 3 1 2.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .roots import Bonds, Coords, RootSystem, coweight_reflect, strip_descents
+from .roots import Bonds, Coords, RootSystem, coweight_reflect, degrees, strip_descents
 
 
 class CapExceededError(RuntimeError):
-    """Group enumeration exceeded the configured cap."""
+    """The group is larger than the configured enumeration cap."""
 
     def __init__(self, partial_size: int):
         super().__init__(f"enumeration cap exceeded; partial size {partial_size}")
@@ -173,7 +174,7 @@ def check_system(system: RootSystem, w: WeylElement) -> None:
         raise ValueError("element of another root system")
 
 
-def _orbit(bonds: Bonds, rank: int, gens: Iterable[int], cap: int) -> Dict[Coords, int]:
+def _orbit(bonds: Bonds, rank: int, gens: Iterable[int]) -> Dict[Coords, int]:
     """Keys of W_gens (0-based generators) with their lengths, breadth-first.
 
     A key is reflected only at its ascents (x_i > 0): there w s_i is one
@@ -189,8 +190,6 @@ def _orbit(bonds: Bonds, rank: int, gens: Iterable[int], cap: int) -> Dict[Coord
             if x[i] > 0:
                 y = coweight_reflect(bonds, x, i)
                 if y not in lengths:
-                    if len(keys) >= cap:
-                        raise CapExceededError(len(keys))
                     lengths[y] = length
                     keys.append(y)
     return lengths
@@ -226,8 +225,14 @@ class WeylGroup:
     DEFAULT_CAP = 1_000_000
 
     def __init__(self, system: RootSystem, cap: int = DEFAULT_CAP):
+        order = math.prod(degrees(system.family, system.rank))
+        if order > cap:
+            raise CapExceededError(cap)
         self.system = system
-        self.lengths = _orbit(system.bonds, system.rank, range(system.rank), cap)
+        self.lengths = _orbit(system.bonds, system.rank, range(system.rank))
+        if len(self.lengths) != order:
+            name = f"{system.family}{system.rank}"
+            raise AssertionError(f"W({name}) has {len(self.lengths)} elements, expected {order}")
         self.elements = [WeylElement(system, x) for x in self.lengths]
         self._own = {w.x: w for w in self.elements}
         self._coroots = [(beta, system.coroot(beta).coords) for beta in system.positive_roots]
@@ -272,7 +277,7 @@ class WeylGroup:
     def subgroup_elements(self, L: Iterable[int]) -> List[WeylElement]:
         """All elements of the standard parabolic W_L, breadth-first by length."""
         rs = self.system
-        return [self._own[x] for x in _orbit(rs.bonds, rs.rank, self._gens(L), len(self))]
+        return [self._own[x] for x in _orbit(rs.bonds, rs.rank, self._gens(L))]
 
     def min_coset_reps(self, L: Iterable[int]) -> List[WeylElement]:
         """Minimal-length representatives W^L, in enumeration order."""
@@ -294,14 +299,14 @@ def simple_mask(rank: int, indices: Iterable[int]) -> int:
 def weyl_group(system: RootSystem, cap: Optional[int] = None) -> WeylGroup:
     """The full enumeration for a root system, built once and kept on it.
 
-    With a cap, raises CapExceededError whenever the group is larger than
-    the cap, also when it was built before. Without one, a new enumeration
-    uses WeylGroup.DEFAULT_CAP.
+    With a cap, raises CapExceededError whenever |W|, the product of the
+    degrees, is larger than the cap, also when the group was built before.
+    Without one, a new enumeration uses WeylGroup.DEFAULT_CAP. Either check
+    runs before anything is enumerated.
     """
+    if cap is not None and math.prod(degrees(system.family, system.rank)) > cap:
+        raise CapExceededError(cap)
     group = getattr(system, "_weyl_group", None)
     if group is None:
-        group = WeylGroup(system, WeylGroup.DEFAULT_CAP if cap is None else cap)
-        system._weyl_group = group
-    elif cap is not None and len(group) > cap:
-        raise CapExceededError(cap)
+        group = system._weyl_group = WeylGroup(system, WeylGroup.DEFAULT_CAP if cap is None else cap)
     return group

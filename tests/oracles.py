@@ -9,9 +9,9 @@ from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from weylorbits.linkpatterns import OrientedLinkPattern, matrix_from_olp
-from weylorbits.nilpotent import CaseLabel, OrthogonalSet, _case_supports
+from weylorbits.nilpotent import CaseLabel, OrthogonalSet, _case_supports, _components, _subdiagram_type
 from weylorbits.quotient import IJKDatum, QuotientElement
-from weylorbits.roots import Coords, Coweight, RootSystem
+from weylorbits.roots import Coords, Coweight, RootSystem, degrees
 from weylorbits.weyl import WeylElement, from_word, identity, reflection
 
 # every supported (family, rank) of rank at most 8
@@ -421,6 +421,45 @@ def census(system: RootSystem, canonical: Optional[CanonicalForm] = None) -> Lis
         if frontier:
             levels.append(frontier)
     return levels
+
+
+# -- Poincare polynomials from the degrees ---------------------------------------
+
+
+def poincare_polynomial(degs: Sequence[int]) -> List[int]:
+    """Coefficients of W(q) = prod over the degrees d of 1 + q + ... + q^(d-1),
+    the length generating function of a Weyl group with these degrees
+    (Humphreys, Reflection Groups and Coxeter Groups, ch. 3)."""
+    poly = [1]
+    for d in degs:
+        poly = [sum(poly[max(0, k - d + 1):k + 1]) for k in range(len(poly) + d - 1)]
+    return poly
+
+
+def parabolic_degrees(system: RootSystem, L: Sequence[int]) -> List[int]:
+    """The degrees of the standard parabolic W_L: W_L is the product of the
+    Weyl groups of the connected components of L."""
+    out: List[int] = []
+    for comp in _components(L, lambda i, j: system.cartan[i - 1][j - 1] != 0):
+        name = _subdiagram_type(system, comp)
+        out += degrees(name[0], int(name[1:]))
+    return out
+
+
+def quotient_rank_profile(system: RootSystem, L: Sequence[int]) -> Tuple[int, ...]:
+    """Coefficients of W(q) / W_L(q), the length generating function of the
+    minimal coset representatives W^L (Bjorner-Brenti, ch. 7)."""
+    num = poincare_polynomial(degrees(system.family, system.rank))
+    den = poincare_polynomial(parabolic_degrees(system, L))
+    quotient = []
+    for k in range(len(num) - len(den) + 1):  # den[0] == 1: divide from the bottom
+        c = num[k]
+        quotient.append(c)
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    if any(num):
+        raise ValueError("W_L(q) does not divide W(q)")
+    return tuple(quotient)
 
 
 # -- second routes for the classification decisions -----------------------------

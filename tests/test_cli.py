@@ -336,6 +336,34 @@ def test_selftest_caps_before_enumerating():
 def test_selftest_bad_nr_beats_cap(capsys, monkeypatch):
     monkeypatch.setenv("WEYLORBITS_CAP", "5")
     _assert_usage_error(capsys, "selftest", "--nr", "3")
+    _assert_usage_error(capsys, "selftest", "--coxeter", "Z9")
+
+
+@pytest.mark.parametrize(
+    "cap,argv,system,partial",
+    [
+        ("5", ["orbits", "--n", "60", "--r", "2"], ("A", 59), 5),
+        (None, ["poset", "--type", "E", "--rank", "7", "--I", "1", "--J", "7"], ("E", 7), 1000000),
+    ],
+    ids=["orbits-A59-cap5", "poset-E7-default-cap"],
+)
+def test_cap_refuses_before_building_the_system(cap, argv, system, partial):
+    # a fresh interpreter, so no earlier test has built the system: the cap is
+    # compared with |W| before the root system is generated
+    script = (
+        "from weylorbits import roots\n"
+        "from weylorbits.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(code, {system!r} in roots._SYSTEMS)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "WEYLORBITS_CAP"}
+    env["PYTHONPATH"] = src
+    if cap:
+        env["WEYLORBITS_CAP"] = cap
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.stdout == "3 False\n", proc.stderr
+    assert proc.stderr == f"error: enumeration cap exceeded; partial size {partial}\n"
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 from functools import lru_cache
 
 import pytest
@@ -13,10 +15,18 @@ from weylorbits.quotient import (
     leq_O,
     min_set,
 )
-from weylorbits.roots import build_root_system
+from weylorbits.cli import _build_datum, build_parser
+from weylorbits.roots import build_root_system, degrees
 from weylorbits.weyl import from_word, identity, parabolic_decompose, weyl_group
 
-from oracles import action_matrix, canonical_rep_by_scan, covers_naive, leq_O_full_coset
+from oracles import (
+    action_matrix,
+    canonical_rep_by_scan,
+    covers_naive,
+    leq_O_full_coset,
+    parabolic_degrees,
+    quotient_rank_profile,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +50,10 @@ def test_datum_validation(a3):
     with pytest.raises(ValueError):
         # s1 s2 have m = 3 but s1* s2* would need m(s3, s1) pairing
         IJKDatum(b3, I=[1, 2], J=[2, 3])
+    # A6: m(1,3) = 2 but m(5,6) = 3; C5: m(1,2) = 3 but m(4,5) = 4
+    for family, rank, I, J in (("A", 6, [1, 3], [5, 6]), ("C", 5, [1, 2], [4, 5])):
+        with pytest.raises(ValueError, match="^star is not a Coxeter-diagram isomorphism$"):
+            IJKDatum(build_root_system(family, rank), I=I, J=J)
 
 
 def test_star_extend(datum, a3):
@@ -348,3 +362,31 @@ def test_leq_O_random_words_against_full_coset(data):
     wp = datum.canonical_rep(from_word(datum.system, left))
     w = datum.canonical_rep(from_word(datum.system, right))
     assert leq_O(wp, w) == leq_O_full_coset(wp, w)
+
+
+def _poset_argvs():
+    """Every poset datum of the golden corpus, once each, plus two larger ones."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    with open(os.path.join(golden, "manifest.json"), encoding="utf-8") as fh:
+        argvs = [case["argv"] for case in json.load(fh) if case["argv"][0] == "poset"]
+    argvs += [
+        ["poset", "--type", "E", "--rank", "6", "--I", "1", "--J", "6", "--K", "2 4"],  # 4320 nodes
+        ["poset", "--type", "A", "--rank", "7", "--I", "1 2", "--J", "6 7", "--K", "4"],  # 3360 nodes
+    ]
+    unique = {}
+    for argv in argvs:
+        argv = argv[: argv.index("--format")] if "--format" in argv else argv
+        unique.setdefault(" ".join(argv[1:]), argv)
+    return list(unique.values())
+
+
+@pytest.mark.parametrize("argv", _poset_argvs(), ids=lambda argv: " ".join(argv[1:]))
+def test_rank_profile_from_degrees(argv, monkeypatch):
+    # W(I,J,K) = W^{J u K}: |W| / |W_{J u K}| nodes, ranked by W(q) / W_{J u K}(q)
+    monkeypatch.delenv("WEYLORBITS_CAP", raising=False)
+    datum = _build_datum(build_parser().parse_args(argv))
+    rs, jk = datum.system, datum.J + datum.K
+    poset = build_poset(datum)
+    order = math.prod(degrees(rs.family, rs.rank))
+    assert len(poset.nodes) == order // math.prod(parabolic_degrees(rs, jk))
+    assert poset.rank_profile() == quotient_rank_profile(rs, jk)

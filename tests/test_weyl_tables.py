@@ -1,20 +1,24 @@
 """The enumeration of WeylGroup against element-level arithmetic."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylorbits import weyl
 from weylorbits.linkpatterns import type_a_datum
 from weylorbits.nilpotent import classify, levi_and_involution, orthogonal_set
-from weylorbits.roots import build_root_system
+from weylorbits.roots import build_root_system, degrees
 from weylorbits.weyl import (
     CapExceededError,
+    WeylGroup,
     from_word,
     simple_reflection,
     weyl_group,
 )
 
-from oracles import bruhat_leq_subword
+from oracles import ALL_SYSTEMS, bruhat_leq_subword
 
 # every group of order <= 1152 with its order
 ORDERS = {
@@ -124,6 +128,36 @@ def test_cap_on_first_build():
     assert info.value.partial_size == 100
     assert getattr(rs, "_weyl_group", None) is None
     assert len(weyl_group(rs)) == 1920
+
+
+@pytest.mark.parametrize(
+    "family,rank", [s for s in ALL_SYSTEMS if math.prod(degrees(*s)) <= 51840]
+)
+def test_group_order_is_product_of_degrees(family, rank):
+    assert len(weyl_group(build_root_system(family, rank))) == math.prod(degrees(family, rank))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 8), ("C", 8), ("D", 8), ("E", 7), ("E", 8)])
+def test_default_cap_refuses_before_enumerating(family, rank):
+    rs = build_root_system(family, rank)
+    assert math.prod(degrees(family, rank)) > WeylGroup.DEFAULT_CAP
+    with pytest.raises(CapExceededError, match=r"^enumeration cap exceeded; partial size 1000000$"):
+        weyl_group(rs)
+    assert getattr(rs, "_weyl_group", None) is None
+
+
+def test_cap_equal_to_the_order_enumerates():
+    rs = build_root_system("B", 3)
+    assert len(WeylGroup(rs, cap=48)) == 48
+    with pytest.raises(CapExceededError, match=r"^enumeration cap exceeded; partial size 47$"):
+        WeylGroup(rs, cap=47)
+
+
+def test_enumeration_of_the_wrong_size_raises(monkeypatch):
+    orbit = weyl._orbit
+    monkeypatch.setattr(weyl, "_orbit", lambda *args: dict(list(orbit(*args).items())[:-1]))
+    with pytest.raises(AssertionError, match=r"^W\(A3\) has 23 elements, expected 24$"):
+        WeylGroup(build_root_system("A", 3))
 
 
 @pytest.mark.parametrize("rank", [7, 8])
