@@ -16,8 +16,8 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .roots import RootSystem, build_root_system, degrees, InvalidRankError
-from .weyl import CapExceededError, WeylGroup, from_line_notation, from_word, to_line_notation
+from .roots import RootSystem, build_root_system, cartan_matrix, degrees, InvalidRankError
+from .weyl import CapExceededError, WeylGroup, from_line_notation, from_word, to_line_notation, weyl_group
 
 if TYPE_CHECKING:
     from . import nilpotent as nil
@@ -70,13 +70,10 @@ def _build_system(family: str, rank: int) -> RootSystem:
 
 
 def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
-    """The root systems, built only after every one is known to be supported
-    (UsageError otherwise) and the largest Weyl group, of order the product of
-    its degrees, to fit under WEYLORBITS_CAP (WeylGroup.DEFAULT_CAP if unset).
-
-    Only commands that enumerate groups call this; classify and cascade work
-    on roots and keys alone and ignore the cap.
-    """
+    """The root systems with their Weyl groups enumerated under WEYLORBITS_CAP
+    (WeylGroup.DEFAULT_CAP if unset), built only after every system is known to
+    be supported (UsageError otherwise) and |W|, the product of the degrees, to
+    fit under the cap. classify and cascade never enumerate and ignore the cap."""
     try:
         order = max(math.prod(degrees(family.upper(), rank)) for family, rank in systems)
     except InvalidRankError as exc:
@@ -90,21 +87,26 @@ def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
         raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
     if order > limit:
         raise CapExceededError(limit)
-    return [build_root_system(family, rank) for family, rank in systems]
+    built = [build_root_system(family, rank) for family, rank in systems]
+    for system in built:
+        weyl_group(system, cap=limit)  # kept on the system, so the cap set here holds
+    return built
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
+    """The datum of the command line, validated on the Cartan matrix before
+    the cap is applied, so bad input is a usage error under any cap."""
     from . import quotient as qt
 
-    [system] = _capped_systems((args.type, args.rank))
-    I = _parse_ints(args.I) if args.I else []
-    J = _parse_ints(args.J) if args.J else []
-    K = _parse_ints(args.K) if args.K else []
-    star = _parse_star(args.star) if args.star else None
     try:
-        return qt.IJKDatum(system, I, J, K, star)
+        cartan = cartan_matrix(args.type.upper(), args.rank)
+        I, J, K = (_parse_ints(text) if text else [] for text in (args.I, args.J, args.K))
+        star = _parse_star(args.star) if args.star else None
+        parts = qt.check_datum(cartan, I, J, K, star)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    [system] = _capped_systems((args.type, args.rank))
+    return qt.IJKDatum(system, *parts)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -348,12 +350,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot parse --coxeter {coxeter!r}; expected e.g. B3") from exc
     if any(r < 1 or 2 * r > n for n, r in pairs_nr):
         raise UsageError("need 1 <= 2r <= n")
-    *_, cover_system = _capped_systems(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))
     try:
-        type_a = [(n, r, lp.type_a_datum(n, r)) for n, r in pairs_nr]
-        cover_datum = qt.IJKDatum(cover_system, [1], [3])
+        qt.check_datum(cartan_matrix(family, rank), [1], [3])  # before the cap
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    *_, cover_system = _capped_systems(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))
+    type_a = [(n, r, lp.type_a_datum(n, r)) for n, r in pairs_nr]
+    cover_datum = qt.IJKDatum(cover_system, [1], [3])
     for n, r, datum in type_a:
         nodes = datum.quotient_elements()
         lines = [to_line_notation(node.rep) for node in nodes]

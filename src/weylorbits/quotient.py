@@ -11,10 +11,53 @@ Combinatorics of Coxeter Groups, Prop. 2.4.4), without a coset scan.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .roots import Coords, RootSystem, coweight_reflect, strip_descents
 from .weyl import WeylElement, bruhat_leq_keys, check_system, from_word, simple_mask, weyl_group
+
+
+def check_datum(
+    cartan: Sequence[Coords],
+    I: Iterable[int],
+    J: Iterable[int],
+    K: Iterable[int] = (),
+    star: Optional[Dict[int, int]] = None,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Dict[int, int]]:
+    """The sorted I, J, K and the star map of an (I,J,K) datum on the Cartan
+    matrix; ValueError unless they form one. Needs no roots and no group."""
+    I, J, K = (tuple(sorted(set(s))) for s in (I, J, K))
+    if star is None:
+        if len(I) != len(J):
+            raise ValueError("star map required when |I| != |J|")
+        star = dict(zip(I, J))
+    star = dict(star)
+    sets = {"I": set(I), "J": set(J), "K": set(K)}
+    for name, s in sets.items():
+        for i in s:
+            if not 1 <= i <= len(cartan):
+                raise ValueError(f"{name} contains invalid simple index {i}")
+    if sets["I"] & sets["J"] or sets["I"] & sets["K"] or sets["J"] & sets["K"]:
+        raise ValueError("I, J, K must be pairwise disjoint")
+    # pairwise disconnected: no bond between distinct parts
+    parts = [sets["I"], sets["J"], sets["K"]]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for i in parts[a]:
+                for j in parts[b]:
+                    if cartan[i - 1][j - 1] != 0:
+                        raise ValueError(f"simple roots {i} and {j} are connected across parts")
+    if sorted(star) != list(I) or sorted(star.values()) != list(J):
+        raise ValueError("star must be a bijection I -> J")
+    # diagram isomorphism: m(s,t) = m(s*,t*), and m(s,t) is fixed by the
+    # product a_st a_ts (0, 1, 2, 3 for m = 2, 3, 4, 6)
+    a = cartan
+    for s in I:
+        for t in I:
+            u, v = star[s], star[t]
+            if a[s - 1][t - 1] * a[t - 1][s - 1] != a[u - 1][v - 1] * a[v - 1][u - 1]:
+                raise ValueError("star is not a Coxeter-diagram isomorphism")
+    return I, J, K, star
 
 
 class IJKDatum:
@@ -33,15 +76,7 @@ class IJKDatum:
         star: Optional[Dict[int, int]] = None,
     ):
         self.system = system
-        self.I = tuple(sorted(set(I)))
-        self.J = tuple(sorted(set(J)))
-        self.K = tuple(sorted(set(K)))
-        if star is None:
-            if len(self.I) != len(self.J):
-                raise ValueError("star map required when |I| != |J|")
-            star = dict(zip(self.I, self.J))
-        self.star_map = dict(star)
-        self._validate()
+        self.I, self.J, self.K, self.star_map = check_datum(system.cartan, I, J, K, star)
         self.group = weyl_group(system)
         self.L = tuple(sorted(self.I + self.J + self.K))
         g = self.group
@@ -57,38 +92,6 @@ class IJKDatum:
         self._diag = [x.mul(self._star[x]) for x in self._w_i]
         self._unstar = {v: k for k, v in self.star_map.items()}
         self._min_cache: Dict[Coords, List[WeylElement]] = {}
-
-    def _validate(self) -> None:
-        rs = self.system
-        sets = {"I": set(self.I), "J": set(self.J), "K": set(self.K)}
-        for name, s in sets.items():
-            for i in s:
-                if not 1 <= i <= rs.rank:
-                    raise ValueError(f"{name} contains invalid simple index {i}")
-        if sets["I"] & sets["J"] or sets["I"] & sets["K"] or sets["J"] & sets["K"]:
-            raise ValueError("I, J, K must be pairwise disjoint")
-        # pairwise disconnected: no bond between distinct parts
-        parts = [sets["I"], sets["J"], sets["K"]]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                for i in parts[a]:
-                    for j in parts[b]:
-                        if rs.cartan[i - 1][j - 1] != 0:
-                            raise ValueError(
-                                f"simple roots {i} and {j} are connected across parts"
-                            )
-        if sorted(self.star_map) != list(self.I) or sorted(
-            self.star_map.values()
-        ) != list(self.J):
-            raise ValueError("star must be a bijection I -> J")
-        # diagram isomorphism: m(s,t) = m(s*,t*), and m(s,t) is fixed by the
-        # product a_st a_ts (0, 1, 2, 3 for m = 2, 3, 4, 6)
-        a, star = rs.cartan, self.star_map
-        for s in self.I:
-            for t in self.I:
-                u, v = star[s], star[t]
-                if a[s - 1][t - 1] * a[t - 1][s - 1] != a[u - 1][v - 1] * a[v - 1][u - 1]:
-                    raise ValueError("star is not a Coxeter-diagram isomorphism")
 
     # -- star and cosets ----------------------------------------------------
 

@@ -84,7 +84,9 @@ def _diagram_edges(family: str, rank: int) -> List[Tuple[int, int, int, int]]:
 
 
 def cartan_matrix(family: str, rank: int) -> Tuple[Coords, ...]:
-    """Cartan matrix with a[i][j] = <alpha_j, alpha_i^vee>."""
+    """Cartan matrix with a[i][j] = <alpha_j, alpha_i^vee>; InvalidRankError
+    for an unsupported system. Builds no roots."""
+    degrees(family, rank)
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j, aij, aji in _diagram_edges(family, rank):
         a[i][j] = aij

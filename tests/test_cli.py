@@ -366,6 +366,51 @@ def test_cap_refuses_before_building_the_system(cap, argv, system, partial):
     assert proc.stderr == f"error: enumeration cap exceeded; partial size {partial}\n"
 
 
+@pytest.mark.parametrize(
+    "cap,argv",
+    [
+        ("24", ["poset", "--type", "A", "--rank", "3"]),
+        ("24", ["orbits", "--n", "4", "--r", "2"]),
+        ("120", ["selftest"]),
+    ],
+    ids=["poset", "orbits", "selftest"],
+)
+def test_cap_above_the_default_raises_the_limit(cap, argv):
+    # a fresh interpreter with a default cap of 10: a WEYLORBITS_CAP of |W| must
+    # let the group be enumerated, not fall back to the default
+    script = (
+        "from weylorbits.weyl import WeylGroup\n"
+        "from weylorbits.cli import main\n"
+        "WeylGroup.DEFAULT_CAP = 10\n"
+        f"raise SystemExit(main({argv!r}))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, WEYLORBITS_CAP=cap, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "cap,argv",
+    [
+        (None, ("poset", "--type", "E", "--rank", "7", "--I", "9", "--J", "7")),
+        (None, ("poset", "--type", "E", "--rank", "7", "--I", "x", "--J", "7")),
+        (None, ("compare", "--type", "E", "--rank", "7", "--I", "1", "--J", "7", "--star", "1:6", "1", "2")),
+        ("5", ("poset", "--type", "A", "--rank", "3", "--I", "9", "--J", "3")),
+        ("5", ("selftest", "--coxeter", "G2")),
+    ],
+    ids=["E7-index", "E7-parse", "E7-star", "A3-cap5-index", "selftest-G2-cap5"],
+)
+def test_bad_datum_beats_cap(capsys, monkeypatch, cap, argv):
+    # the datum is validated on the Cartan matrix before the cap is applied
+    if cap is None:
+        monkeypatch.delenv("WEYLORBITS_CAP", raising=False)
+    else:
+        monkeypatch.setenv("WEYLORBITS_CAP", cap)
+    _assert_usage_error(capsys, *argv)
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
