@@ -73,11 +73,8 @@ def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
     """The root systems with their Weyl groups enumerated under WEYLORBITS_CAP
     (WeylGroup.DEFAULT_CAP if unset), built only after every system is known to
     be supported (UsageError otherwise) and |W|, the product of the degrees, to
-    fit under the cap. classify and cascade never enumerate and ignore the cap."""
-    try:
-        order = max(math.prod(degrees(family.upper(), rank)) for family, rank in systems)
-    except InvalidRankError as exc:
-        raise UsageError(str(exc)) from exc
+    fit under the cap; |W| >= 2^rank refuses a rank above the cap's bit length
+    first. classify and cascade never enumerate and ignore the cap."""
     cap = os.environ.get("WEYLORBITS_CAP")
     try:
         limit = WeylGroup.DEFAULT_CAP if cap is None else int(cap)
@@ -85,6 +82,12 @@ def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
         raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}") from exc
     if limit < 1:
         raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
+    if any(rank > limit.bit_length() for _, rank in systems):
+        raise CapExceededError(limit)
+    try:
+        order = max(math.prod(degrees(family.upper(), rank)) for family, rank in systems)
+    except InvalidRankError as exc:
+        raise UsageError(str(exc)) from exc
     if order > limit:
         raise CapExceededError(limit)
     built = [build_root_system(family, rank) for family, rank in systems]

@@ -11,7 +11,8 @@ reports the Levi + involution data attached to the set.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .roots import Coords, Coweight, RootSystem, highest_root
@@ -28,10 +29,8 @@ class OrthogonalSet:
         for t in thetas:
             if not system.is_root(t):
                 raise ValueError(f"{t} is not a root")
-        for i in range(len(thetas)):
-            for j in range(i + 1, len(thetas)):
-                if system.form(thetas[i], thetas[j]) != 0:
-                    raise ValueError("roots are not pairwise orthogonal")
+        if any(system.form(a, b) for a, b in combinations(thetas, 2)):
+            raise ValueError("roots are not pairwise orthogonal")
         # orthogonal roots are linearly independent automatically
 
     @property
@@ -39,25 +38,18 @@ class OrthogonalSet:
         return len(self.thetas)
 
     def coroot_sum(self) -> Coweight:
-        h = Coweight((0,) * self.system.rank)
-        for t in self.thetas:
-            h = h + self.system.coroot(t)
-        return h
+        rs = self.system
+        return reduce(Coweight.__add__, map(rs.coroot, self.thetas), Coweight((0,) * rs.rank))
 
     @cached_property
     def offenders(self) -> Tuple[CaseLabel, ...]:
         """The roots of span_Q(thetas) other than the +-theta_i, each with its
-        coefficients and case label: one scan of the root system, made on
-        first use and kept on the set."""
+        coefficients and case label: one packed scan of the root system
+        (RootSystem.span_members), made on first use and kept on the set."""
         rs = self.system
         pm = set(self.thetas) | {tuple(-x for x in t) for t in self.thetas}
-        out = []
-        for gamma in rs.roots:
-            if gamma not in pm:
-                coeffs = rs.span_membership(self.thetas, gamma)
-                if coeffs is not None:
-                    out.append(_label(self, gamma, coeffs))
-        return tuple(out)
+        members = ((rs.roots[k], p) for k, p in rs.span_members(self.thetas))
+        return tuple(_label(self, gamma, p) for gamma, p in members if gamma not in pm)
 
     @cached_property
     def _characteristic(self) -> Tuple[OrthogonalSet, Coweight, Coweight]:
@@ -104,10 +96,6 @@ def is_rationally_orthogonal(
     return not offenders, offenders
 
 
-def _is_long(system: RootSystem, v: Coords) -> bool:
-    return system.norm(v) == system.long_norm
-
-
 def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     """Label the combination beta = sum q_i theta_i by its case, read from
     the count, lengths and coefficients of its support.
@@ -116,44 +104,41 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     support together with -beta, on every W-class of orthogonal sets of
     every supported system of rank at most 8.
     """
-    coeffs = oset.system.span_membership(oset.thetas, beta)
-    if coeffs is None:
+    rs = oset.system
+    if rs.span_membership(oset.thetas, beta) is None:
         raise ValueError("beta is not in the span of the set")
-    return _label(oset, beta, coeffs)
+    return _label(oset, beta, [rs.form(beta, t) for t in oset.thetas])
 
 
-def _label(oset: OrthogonalSet, beta: Coords, coeffs: Tuple[Fraction, ...]) -> CaseLabel:
-    support = [(t, q) for t, q in zip(oset.thetas, coeffs) if q != 0]
-    if not support:
-        raise ValueError("beta is zero")
-    return CaseLabel(_classify_by_pattern(oset.system, support, beta), beta, coeffs)
+# the coefficients p / n of case labels: few values, one Fraction each
+_fraction = lru_cache(maxsize=None)(Fraction)
 
 
-def _classify_by_pattern(
-    rs: RootSystem, support: List[Tuple[Coords, Fraction]], beta: Coords
-) -> str:
+def _label(oset: OrthogonalSet, beta: Coords, proj: Sequence[int]) -> CaseLabel:
+    """The label of beta in the span from p_i = (beta, theta_i): with n_i =
+    (theta_i, theta_i), |q_i| = 1/2 iff 2 |p_i| = n_i and |q_i| = 1 iff |p_i| = n_i."""
+    rs = oset.system
+    norms = [rs.norms[t] for t in oset.thetas]
+    support = [(abs(p), n) for p, n in zip(proj, norms) if p]
     k = len(support)
-    half = Fraction(1, 2)
-    qs = sorted(abs(q) for _, q in support)
-    longs = [_is_long(rs, t) for t, _ in support]
-    beta_long = _is_long(rs, beta)
+    halves = sum(2 * p == n for p, n in support)
+    ones = sum(p == n for p, n in support)
+    longs = sum(n == rs.long_norm for _, n in support)
+    if k == 0:
+        raise ValueError("beta is zero")
     if k == 1:
-        return "A1"
-    if k == 4 and qs == [half] * 4:
-        return "D4"
-    if k == 3:
-        if qs == [half, half, 1] and sorted(longs) == [False, True, True]:
-            return "B3"
-        if qs == [half] * 3 and sorted(longs) == [False, False, True]:
-            return "C3"
-    if k == 2:
-        if qs == [1, 1] and longs[0] == longs[1] and beta_long:
-            return "B2long"
-        if qs == [half, half] and longs[0] == longs[1] and not beta_long:
-            return "B2short"
-        if longs[0] != longs[1]:
-            return "G2both"
-    raise AssertionError(f"no case matches coefficients {qs}")
+        case = "A1"
+    elif k == 4 and halves == 4:
+        case = "D4"
+    elif k == 3 and (halves, ones, longs) in ((2, 1, 2), (3, 0, 1)):
+        case = "B3" if ones else "C3"
+    elif k == 2 and longs == 1:
+        case = "G2both"
+    elif k == 2 and (halves, ones, rs.norm(beta) == rs.long_norm) in ((0, 2, True), (2, 0, False)):
+        case = "B2long" if ones else "B2short"
+    else:
+        raise AssertionError(f"no case matches projections {proj} on norms {norms}")
+    return CaseLabel(case, beta, tuple(map(_fraction, proj, norms)))
 
 
 def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
@@ -174,9 +159,7 @@ def height_of_sum(oset: OrthogonalSet) -> int:
     reduced, _, h_dom = oset._characteristic
     for o in reduced.offenders:
         if all(q.denominator == 1 for q in o.coefficients):
-            raise AssertionError(
-                f"integral combination {o.beta} survives the reduction"
-            )
+            raise AssertionError(f"integral combination {o.beta} survives the reduction")
     return oset.system.coweight_value(h_dom, oset.system.highest_root)
 
 
@@ -229,7 +212,7 @@ def type_b_height(oset: OrthogonalSet) -> int:
     r = oset.r
     if r == 0:
         return 0
-    longs = sum(1 for t in oset.thetas if _is_long(oset.system, t))
+    longs = sum(1 for t in oset.thetas if oset.system.norms[t] == oset.system.long_norm)
     shorts = r - longs
     pairs = len(_case_supports(oset, "B2short"))
     if shorts == r:
@@ -375,9 +358,7 @@ def levi_and_involution(oset: OrthogonalSet) -> InvolutionReport:
     fixed = []
     swaps = []
     other = []
-    neg_simple = {
-        tuple(-x for x in rs.simple_root(j)): j for j in levi
-    }
+    neg_simple = {tuple(-x for x in rs.simple_root(j)): j for j in levi}
     for i in levi:
         img = action[i]
         if img == rs.simple_root(i):

@@ -12,6 +12,7 @@ with weyl, which keys group elements by coweights, and with quotient.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 from operator import add, mul
 from typing import TYPE_CHECKING, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -195,7 +196,9 @@ class RootSystem:
         self.highest_root: Coords = highest_root(self.roots)
         # the highest root of an irreducible system is long
         self.long_norm = self.norms[self.highest_root]
-        self._span_memo: Optional[tuple] = None  # see span_membership
+        # filled on first use (see coroot and span_members)
+        self._coroots: Dict[Coords, Coweight] = {}
+        self._columns: Dict[Coords, Tuple[Tuple[int, ...], int]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -260,19 +263,22 @@ class RootSystem:
         return tuple(x - c * y for x, y in zip(a, b))
 
     def reflect_simple(self, v: Coords, i: int) -> Coords:
-        """s_{alpha_i}(v), 0-based i: uses <v, alpha_i^vee> = (A v)_i."""
-        c = sum(self.cartan[i][j] * v[j] for j in range(self.rank) if v[j])
-        return tuple(x - c * (1 if j == i else 0) for j, x in enumerate(v))
+        """s_{alpha_i}(v) = v - (A v)_i alpha_i, 0-based i, with (A v)_i read from the bonds of i."""
+        c = 2 * v[i] + sum(a * v[j] for j, a in self.bonds[i])
+        return v[:i] + (v[i] - c,) + v[i + 1:] if c else v
 
     # -- coweights -----------------------------------------------------------
 
     def coroot(self, b: Coords) -> Coweight:
-        """b^vee as a coweight: value on alpha_i is <alpha_i, b^vee> = 2 (B b)_i / (b, b)."""
-        n = self.norm(b)
-        values = [divmod(2 * sum(map(mul, row, b)), n) for row in self.gram]
-        if any(r for _, r in values):
-            raise ValueError("pairing is not integral; b is not a root")
-        return Coweight(tuple(q for q, _ in values))
+        """b^vee as a coweight, kept per b: value on alpha_i is <alpha_i, b^vee> = 2 (B b)_i / (b, b)."""
+        b = tuple(b)
+        if b not in self._coroots:
+            n = self.norm(b)
+            values = [divmod(2 * sum(map(mul, row, b)), n) for row in self.gram]
+            if any(r for _, r in values):
+                raise ValueError("pairing is not integral; b is not a root")
+            self._coroots[b] = Coweight(tuple(q for q, _ in values))
+        return self._coroots[b]
 
     def coweight_value(self, h: Coweight, v: Coords) -> int:
         """Value of h on a root-lattice element v."""
@@ -296,29 +302,59 @@ class RootSystem:
     def span_membership(
         self, roots: Sequence[Coords], gamma: Coords
     ) -> Optional[Tuple[Fraction, ...]]:
-        """Coefficients (q_i) with gamma = sum q_i beta_i, or None if outside the span.
-
-        The roots must be pairwise orthogonal (ValueError otherwise); the
-        coefficients are the exact projections p_i / n_i, with p_i = (gamma,
-        beta_i) and n_i = (beta_i, beta_i). By Bessel's equality gamma is in the
-        span iff L (gamma, gamma) = sum p_i^2 (L / n_i), where L = lcm(n_i), all
-        in integers. A scan passes the same roots for every gamma, so the last
-        roots are kept with B beta_i, n_i and L.
-        """
-        key = tuple(map(tuple, roots))
-        memo = self._span_memo
-        if memo is None or memo[0] != key:
-            if any(self.form(a, b) for a, b in combinations(key, 2)):
-                raise ValueError("input roots are not pairwise orthogonal")
-            forms = [tuple(sum(map(mul, row, b)) for row in self.gram) for b in key]
-            norms = [sum(map(mul, b, f)) for b, f in zip(key, forms)]
-            memo = self._span_memo = (key, forms, norms, math.lcm(*norms))
-        _, forms, norms, lcm = memo
+        """Coefficients (q_i) with gamma = sum q_i beta_i, or None if outside the
+        span of the pairwise orthogonal roots (ValueError otherwise): the
+        projections q_i = p_i / n_i, p_i = (gamma, beta_i), n_i = (beta_i, beta_i).
+        gamma is in the span iff L (gamma, gamma) = sum p_i^2 (L / n_i), L =
+        lcm(n_i), by Bessel's equality."""
+        if any(self.form(a, b) for a, b in combinations(roots, 2)):
+            raise ValueError("input roots are not pairwise orthogonal")
+        forms = [tuple(sum(map(mul, row, b)) for row in self.gram) for b in roots]
+        norms = [sum(map(mul, b, f)) for b, f in zip(roots, forms)]
+        lcm = math.lcm(*norms)
         proj = [sum(map(mul, gamma, f)) for f in forms]
         if lcm * self.norm(gamma) != sum(p * p * (lcm // m) for p, m in zip(proj, norms)):
             return None
         from fractions import Fraction  # only members need it; a miss returned above
         return tuple(Fraction(p, m) for p, m in zip(proj, norms))
+
+    def span_members(self, thetas: Sequence[Coords]) -> List[Tuple[int, Tuple[int, ...]]]:
+        """(k, p) for each root roots[k] in the rational span of pairwise
+        orthogonal roots thetas (ValueError otherwise), in root order, with
+        p_i = (roots[k], theta_i); one bit-parallel Bessel test over all roots.
+        Byte k of D = L * norms - sum (L / n_i) * squares_i is the defect of
+        roots[k]: in [0, L * long_norm], below 128, and 0 exactly on the span."""
+        if any(self.form(a, b) for a, b in combinations(thetas, 2)):
+            raise ValueError("input roots are not pairwise orthogonal")
+        norms_packed, high, low = self._packed
+        cols = [self._column(t) for t in thetas]
+        norms = [self.norms[t] for t in thetas]
+        lcm = math.lcm(*norms)
+        d = lcm * norms_packed - sum(lcm // n * sq for (_, sq), n in zip(cols, norms))
+        mask, out = high & ~(d + low), []  # the high bit of each zero byte
+        while mask:
+            bit = mask & -mask
+            k = bit.bit_length() // 8 - 1
+            out.append((k, tuple(col[k] for col, _ in cols)))
+            mask ^= bit
+        return out
+
+    def _column(self, theta: Coords) -> Tuple[Tuple[int, ...], int]:
+        """(gamma, theta) over the roots gamma and their squares packed one byte each."""
+        if theta not in self._columns:
+            bt = [sum(map(mul, row, theta)) for row in self.gram]
+            proj = tuple(sum(map(mul, g, bt)) for g in self.roots)
+            self._columns[theta] = (proj, int.from_bytes(bytes(p * p for p in proj), "little"))
+        return self._columns[theta]
+
+    @cached_property
+    def _packed(self) -> Tuple[int, ...]:
+        """The root norms packed one byte per root, and the masks 0x80.., 0x7f.."""
+        if math.lcm(*self.norms.values()) * self.long_norm >= 128:
+            raise AssertionError(f"{self.family}{self.rank}: Bessel defects do not fit in 7 bits")
+        n = len(self.roots)
+        packed = (bytes(self.norms[b] for b in self.roots), b"\x80" * n, b"\x7f" * n)
+        return tuple(int.from_bytes(x, "little") for x in packed)
 
 
 # One RootSystem per (family, rank) and process; its Weyl group is cached on it.

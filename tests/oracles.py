@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -208,8 +209,11 @@ def projection_span_membership(
     Fraction projections q_i = (gamma, beta_i)/(beta_i, beta_i); None when
     the projections do not reconstruct gamma."""
     coeffs = tuple(Fraction(system.form(gamma, b), system.form(b, b)) for b in roots)
-    recon = [sum(q * b[j] for q, b in zip(coeffs, roots)) for j in range(system.rank)]
-    return coeffs if recon == list(gamma) else None
+    # den * gamma == sum (den q_i) beta_i, coordinate by coordinate, in integers
+    den = math.lcm(*(q.denominator for q in coeffs))
+    scaled = [(q.numerator * (den // q.denominator), b) for q, b in zip(coeffs, roots)]
+    in_span = all(sum(c * b[j] for c, b in scaled) == den * x for j, x in enumerate(gamma))
+    return coeffs if in_span else None
 
 
 def reduce_b2long_by_restart(oset: OrthogonalSet) -> Tuple[Coords, ...]:

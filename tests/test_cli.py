@@ -367,6 +367,29 @@ def test_cap_refuses_before_building_the_system(cap, argv, system, partial):
     assert proc.stderr == f"error: enumeration cap exceeded; partial size {partial}\n"
 
 
+@pytest.mark.parametrize("cap", [None, "5"], ids=["default-cap", "cap5"])
+def test_cap_refuses_an_absurd_rank_before_its_degrees(cap, capsys, monkeypatch):
+    # |W| >= 2^rank, so a rank above the cap's bit length needs no degrees
+    from weylorbits import cli
+
+    real = cli.degrees
+
+    def degrees(family, rank):
+        if rank >= 10**7:
+            raise RuntimeError("degrees formed for an absurd rank")
+        return real(family, rank)
+
+    monkeypatch.setattr(cli, "degrees", degrees)
+    if cap is None:
+        monkeypatch.delenv("WEYLORBITS_CAP", raising=False)
+    else:
+        monkeypatch.setenv("WEYLORBITS_CAP", cap)
+    code, out, err = run(capsys, "orbits", "--n", str(10**7 + 1), "--r", "2")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "cap,argv",
     [

@@ -3,8 +3,11 @@
 The corpus was recorded by tests/golden/record.py; see its docstring.
 """
 
+import ast
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +27,51 @@ def test_golden_output(case, capsys, monkeypatch):
         expected = fh.read()
     assert code == case["exit"]
     assert out.encode("utf-8") == expected
+
+
+# Replays the named cases in one interpreter, then breaks the byte bound of
+# the packed span scan on purpose. Prints sys.flags.optimize, the number of
+# cases, the names whose exit code or stdout differ from the corpus, and the
+# error the bound raised.
+CHILD = """
+import io, json, os, sys
+from weylorbits.cli import main
+golden, names = sys.argv[1], set(sys.argv[2:])
+with open(os.path.join(golden, "manifest.json"), encoding="utf-8") as fh:
+    cases = [c for c in json.load(fh) if c["name"] in names]
+bad = []
+for case in cases:
+    sys.stdout = io.StringIO()
+    code = main(case["argv"])
+    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+    with open(os.path.join(golden, case["name"]), "rb") as fh:
+        if code != case["exit"] or out.encode("utf-8") != fh.read():
+            bad.append(case["name"])
+# the byte bound of the packed span scan: lcm(norms) * long norm below 128
+from weylorbits.roots import RootSystem
+g2 = RootSystem("G", 2)
+g2.long_norm = 22  # 6 * 22 = 132
+try:
+    g2.span_members([g2.highest_root])
+    bound = "not checked"
+except AssertionError as exc:
+    bound = str(exc)
+print(repr((sys.flags.optimize, len(cases), bad, bound)))
+"""
+
+
+def test_classify_and_cascade_goldens_under_python_O():
+    # python -O strips assert statements: the invariants these commands rest
+    # on are explicit raises, so the outputs must not change, and the byte
+    # bound still raises
+    names = [c["name"] for c in MANIFEST if c["name"].startswith(("classify-", "cascade-"))]
+    env = {k: v for k, v in os.environ.items() if k != "WEYLORBITS_CAP"}
+    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHILD, GOLDEN, *names], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout.strip()) == (
+        1, len(names), [], "G2: Bessel defects do not fit in 7 bits"
+    )

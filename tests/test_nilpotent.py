@@ -31,7 +31,9 @@ from weylorbits.weyl import from_word, reflection
 from oracles import (
     ALL_SYSTEMS,
     involution_element,
+    label_by_diagram,
     orthogonal_subsets,
+    projection_span_membership,
     random_orthogonal_set,
     reduce_b2long_by_restart,
     stabilizer_dimension,
@@ -483,26 +485,46 @@ def test_case_supports_match_subset_scans(family, rank):
             assert _case_supports(oset, case) == expected
 
 
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 4), ("F", 4), ("D", 5), ("E", 6), ("G", 2)])
+def test_offenders_match_per_root_projection_scan(family, rank):
+    # the packed scan against one exact projection test per root
+    rs = build_root_system(family, rank)
+    for thetas in orthogonal_subsets(rs, 4):
+        oset = orthogonal_set(rs, thetas)
+        pm = set(thetas) | {neg(t) for t in thetas}
+        expected = [
+            (gamma, coeffs)
+            for gamma in rs.roots
+            if gamma not in pm
+            for coeffs in [projection_span_membership(rs, thetas, gamma)]
+            if coeffs is not None
+        ]
+        assert [(o.beta, o.coefficients) for o in oset.offenders] == expected
+        for o in oset.offenders:
+            assert o.case == label_by_diagram(oset, o)
+            assert classify_combination(oset, o.beta) == o
+
+
 def test_classify_scans_each_set_once(monkeypatch):
     calls = []
-    span_membership = RootSystem.span_membership
+    span_members = RootSystem.span_members
 
-    def counting(self, roots, gamma):
-        calls.append(tuple(roots))
-        return span_membership(self, roots, gamma)
+    def counting(self, thetas):
+        calls.append(tuple(thetas))
+        return span_members(self, thetas)
 
-    monkeypatch.setattr(RootSystem, "span_membership", counting)
+    monkeypatch.setattr(RootSystem, "span_members", counting)
     data = _rem_5cases_data()
     # nothing to reduce: one scan of the set
     for system, thetas, _, case, _ in data[:2] + data[4:]:
         calls.clear()
         classify(orthogonal_set(system, thetas))
-        assert calls == [thetas] * (len(system.roots) - 2 * len(thetas)), case
+        assert calls == [thetas], case
     # the B2-long reduction drops a root: one more scan, of the reduced set
     b2, thetas = data[3][0], data[3][1]
     calls.clear()
     classify(orthogonal_set(b2, thetas))
-    assert calls == [thetas] * (len(b2.roots) - 4) + [thetas[:1]] * (len(b2.roots) - 2)
+    assert calls == [thetas, thetas[:1]]
 
 
 def connected_subsets(system):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -18,6 +19,7 @@ from oracles import (
     ALL_SYSTEMS,
     coweight_from_coroot_basis,
     coweight_to_coroot_basis,
+    _reflect_simple,
     positive_definite,
     projection_span_membership,
 )
@@ -27,6 +29,38 @@ def test_classical_counts(family, rank):
     rs = build_root_system(family, rank)
     assert len(rs.roots) == 2 * sum(d - 1 for d in degrees(family, rank))
     assert 2 * len(rs.positive_roots) == len(rs.roots)
+
+
+# every supported (family, rank) of rank at most 12
+SYSTEMS_TO_12 = (
+    [("A", n) for n in range(1, 13)]
+    + [(f, n) for f in "BC" for n in range(2, 13)]
+    + [("D", n) for n in range(3, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS_TO_12)
+def test_roots_match_a_full_row_closure(family, rank):
+    # the closure of the simple roots under s_i(v) = v - (A v)_i alpha_i, with
+    # (A v)_i summed over the whole Cartan row; a root keeps the norm 2 d_i of
+    # the simple root it came from
+    cartan, symm = cartan_matrix(family, rank), symmetrizer(family, rank)
+    norms = {tuple(int(j == i) for j in range(rank)): 2 * d for i, d in enumerate(symm)}
+    frontier = list(norms)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(rank):
+                w = _reflect_simple(v, i, sum(map(mul, cartan[i], v)))
+                if w not in norms:
+                    norms[w] = norms[v]
+                    new.append(w)
+        frontier = new
+    norms.update({tuple(-x for x in v): m for v, m in list(norms.items())})
+    rs = RootSystem(family, rank)
+    assert rs.norms == norms
+    assert rs.roots == tuple(sorted(norms))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("D", 2), ("E", 5), ("F", 3), ("G", 3)])
