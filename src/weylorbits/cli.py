@@ -16,7 +16,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .roots import RootSystem, build_root_system, cartan_matrix, degrees, InvalidRankError
+from .roots import RootSystem, build_root_system, cartan_entries, degrees, InvalidRankError
 from .weyl import CapExceededError, WeylGroup, from_line_notation, from_word, to_line_notation, weyl_group
 
 if TYPE_CHECKING:
@@ -97,15 +97,15 @@ def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
-    """The datum of the command line, validated on the Cartan matrix before
+    """The datum of the command line, validated on its Cartan entries before
     the cap is applied, so bad input is a usage error under any cap."""
     from . import quotient as qt
 
     try:
-        cartan = cartan_matrix(args.type.upper(), args.rank)
+        cartan = cartan_entries(args.type.upper(), args.rank)
         I, J, K = (_parse_ints(text) if text else [] for text in (args.I, args.J, args.K))
         star = _parse_star(args.star) if args.star else None
-        parts = qt.check_datum(cartan, I, J, K, star)
+        parts = qt.check_datum(args.rank, cartan, I, J, K, star)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     [system] = _capped_systems((args.type, args.rank))
@@ -354,7 +354,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     if any(r < 1 or 2 * r > n for n, r in pairs_nr):
         raise UsageError("need 1 <= 2r <= n")
     try:
-        qt.check_datum(cartan_matrix(family, rank), [1], [3])  # before the cap
+        qt.check_datum(rank, cartan_entries(family, rank), [1], [3])  # before the cap
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     *_, cover_system = _capped_systems(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))

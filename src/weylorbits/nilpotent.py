@@ -10,12 +10,14 @@ reports the Levi + involution data attached to the set.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .roots import Coords, Coweight, RootSystem, highest_root
+from .roots import Coords, Coweight, RootSystem
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CASES = ("D4", "B3", "C3", "B2long", "B2short", "G2both", "A1")
 
@@ -39,7 +41,8 @@ class OrthogonalSet:
 
     def coroot_sum(self) -> Coweight:
         rs = self.system
-        return reduce(Coweight.__add__, map(rs.coroot, self.thetas), Coweight((0,) * rs.rank))
+        columns = (rs.coroot(t).coords for t in self.thetas)
+        return Coweight(tuple(map(sum, zip((0,) * rs.rank, *columns))))
 
     @cached_property
     def offenders(self) -> Tuple[CaseLabel, ...]:
@@ -110,20 +113,29 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     return _label(oset, beta, [rs.form(beta, t) for t in oset.thetas])
 
 
-# the coefficients p / n of case labels: few values, one Fraction each
-_fraction = lru_cache(maxsize=None)(Fraction)
-
-
 def _label(oset: OrthogonalSet, beta: Coords, proj: Sequence[int]) -> CaseLabel:
-    """The label of beta in the span from p_i = (beta, theta_i): with n_i =
-    (theta_i, theta_i), |q_i| = 1/2 iff 2 |p_i| = n_i and |q_i| = 1 iff |p_i| = n_i."""
+    """The label of beta in the span from p_i = (beta, theta_i)."""
     rs = oset.system
-    norms = [rs.norms[t] for t in oset.thetas]
+    norms = tuple(rs.norms[t] for t in oset.thetas)
+    case, coefficients = _case(tuple(proj), norms, rs.long_norm, rs.norm(beta) == rs.long_norm)
+    return CaseLabel(case, beta, coefficients)
+
+
+@lru_cache(maxsize=None)
+def _case(
+    proj: Tuple[int, ...], norms: Tuple[int, ...], long_norm: int, beta_long: bool
+) -> Tuple[str, Tuple[Fraction, ...]]:
+    """The case and coefficients q_i = p_i / n_i of a combination with
+    projections p_i on roots of norms n_i: |q_i| = 1/2 iff 2 |p_i| = n_i and
+    |q_i| = 1 iff |p_i| = n_i. A function of these few integers only, so one
+    call per distinct signature; cascade never calls it and loads no fractions."""
+    from fractions import Fraction
+
     support = [(abs(p), n) for p, n in zip(proj, norms) if p]
     k = len(support)
     halves = sum(2 * p == n for p, n in support)
     ones = sum(p == n for p, n in support)
-    longs = sum(n == rs.long_norm for _, n in support)
+    longs = sum(n == long_norm for _, n in support)
     if k == 0:
         raise ValueError("beta is zero")
     if k == 1:
@@ -134,11 +146,11 @@ def _label(oset: OrthogonalSet, beta: Coords, proj: Sequence[int]) -> CaseLabel:
         case = "B3" if ones else "C3"
     elif k == 2 and longs == 1:
         case = "G2both"
-    elif k == 2 and (halves, ones, rs.norm(beta) == rs.long_norm) in ((0, 2, True), (2, 0, False)):
+    elif k == 2 and (halves, ones, beta_long) in ((0, 2, True), (2, 0, False)):
         case = "B2long" if ones else "B2short"
     else:
         raise AssertionError(f"no case matches projections {proj} on norms {norms}")
-    return CaseLabel(case, beta, tuple(map(_fraction, proj, norms)))
+    return case, tuple(map(Fraction, proj, norms))
 
 
 def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
@@ -256,21 +268,33 @@ def _components(items: Sequence, adjacent: Callable[..., bool]) -> List[list]:
 def chain_cascade(system: RootSystem, max_depth: Optional[int] = None) -> CascadeNode:
     """The cascade tree: each node branches once per irreducible component of
     the subsystem orthogonal to the chain chosen so far, through the
-    component's highest root. Every chain is strongly orthogonal."""
+    component's highest root. Every chain is strongly orthogonal.
 
-    def grow(chain: Tuple[Coords, ...], pool: List[Coords], depth: int) -> CascadeNode:
-        h = OrthogonalSet(system, chain).coroot_sum() if chain else Coweight((0,) * system.rank)
-        h_dom, _ = system.dominantize(h)
-        node = CascadeNode(chain, h, h_dom, [])
+    Read on the Dynkin diagram: a component is a connected set S of simple
+    indices, its highest root theta is the root of greatest height with
+    support in S, and theta is dominant for S, so the roots of S orthogonal
+    to it are those of the sub-diagram {i in S : (alpha_i, theta) = 0} (the
+    stabilizer of a dominant weight is generated by the simple reflections
+    that fix it; Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 10.3). Components are ordered by their smallest index."""
+    # the positive roots, highest first, with their supports as bit masks
+    ranked = sorted(
+        (sum(v), sum(1 << i for i, x in enumerate(v) if x), v) for v in system.positive_roots
+    )[::-1]
+
+    def grow(chain: Tuple[Coords, ...], h: Coweight, indices: List[int], depth: int) -> CascadeNode:
+        node = CascadeNode(chain, h, system.dominantize(h)[0], [])
         if max_depth is not None and depth >= max_depth:
             return node
-        for comp in _components(pool, lambda a, b: system.form(a, b) != 0):
-            theta = highest_root(comp)
-            sub = [v for v in comp if system.form(v, theta) == 0]
-            node.children.append(grow(chain + (theta,), sub, depth + 1))
+        for comp in _components(indices, lambda i, j: system.cartan[i][j] != 0):
+            support = sum(1 << i for i in comp)
+            theta = next(v for _, mask, v in ranked if not mask & ~support)
+            coroot = system.coroot(theta)
+            sub = [i for i in comp if coroot.coords[i] == 0]
+            node.children.append(grow(chain + (theta,), h + coroot, sub, depth + 1))
         return node
 
-    return grow((), list(system.roots), 0)
+    return grow((), Coweight((0,) * system.rank), list(range(system.rank)), 0)
 
 
 def cascade_chains(root: CascadeNode) -> List[Tuple[Coords, ...]]:

@@ -11,21 +11,24 @@ Combinatorics of Coxeter Groups, Prop. 2.4.4), without a coset scan.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .roots import Coords, RootSystem, coweight_reflect, strip_descents
 from .weyl import WeylElement, bruhat_leq_keys, check_system, from_word, simple_mask, weyl_group
 
 
 def check_datum(
-    cartan: Sequence[Coords],
+    rank: int,
+    cartan: Callable[[int, int], int],
     I: Iterable[int],
     J: Iterable[int],
     K: Iterable[int] = (),
     star: Optional[Dict[int, int]] = None,
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Dict[int, int]]:
-    """The sorted I, J, K and the star map of an (I,J,K) datum on the Cartan
-    matrix; ValueError unless they form one. Needs no roots and no group."""
+    """The sorted I, J, K and the star map of an (I,J,K) datum of a system of
+    the given rank, whose Cartan entries are cartan(i, j) (0-based, as
+    roots.cartan_entries); ValueError unless they form one. Reads only the
+    entries among I u J u K, and needs no roots and no group."""
     I, J, K = (tuple(sorted(set(s))) for s in (I, J, K))
     if star is None:
         if len(I) != len(J):
@@ -35,7 +38,7 @@ def check_datum(
     sets = {"I": set(I), "J": set(J), "K": set(K)}
     for name, s in sets.items():
         for i in s:
-            if not 1 <= i <= len(cartan):
+            if not 1 <= i <= rank:
                 raise ValueError(f"{name} contains invalid simple index {i}")
     if sets["I"] & sets["J"] or sets["I"] & sets["K"] or sets["J"] & sets["K"]:
         raise ValueError("I, J, K must be pairwise disjoint")
@@ -45,17 +48,18 @@ def check_datum(
         for b in range(a + 1, 3):
             for i in parts[a]:
                 for j in parts[b]:
-                    if cartan[i - 1][j - 1] != 0:
+                    if cartan(i - 1, j - 1) != 0:
                         raise ValueError(f"simple roots {i} and {j} are connected across parts")
     if sorted(star) != list(I) or sorted(star.values()) != list(J):
         raise ValueError("star must be a bijection I -> J")
     # diagram isomorphism: m(s,t) = m(s*,t*), and m(s,t) is fixed by the
     # product a_st a_ts (0, 1, 2, 3 for m = 2, 3, 4, 6)
-    a = cartan
+    def bond(s: int, t: int) -> int:
+        return cartan(s - 1, t - 1) * cartan(t - 1, s - 1)
+
     for s in I:
         for t in I:
-            u, v = star[s], star[t]
-            if a[s - 1][t - 1] * a[t - 1][s - 1] != a[u - 1][v - 1] * a[v - 1][u - 1]:
+            if bond(s, t) != bond(star[s], star[t]):
                 raise ValueError("star is not a Coxeter-diagram isomorphism")
     return I, J, K, star
 
@@ -76,7 +80,9 @@ class IJKDatum:
         star: Optional[Dict[int, int]] = None,
     ):
         self.system = system
-        self.I, self.J, self.K, self.star_map = check_datum(system.cartan, I, J, K, star)
+        self.I, self.J, self.K, self.star_map = check_datum(
+            system.rank, lambda i, j: system.cartan[i][j], I, J, K, star
+        )
         self.group = weyl_group(system)
         self.L = tuple(sorted(self.I + self.J + self.K))
         g = self.group

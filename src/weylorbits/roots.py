@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import combinations
-from operator import add, mul
-from typing import TYPE_CHECKING, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import mul
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -84,15 +84,23 @@ def _diagram_edges(family: str, rank: int) -> List[Tuple[int, int, int, int]]:
     raise InvalidRankError(f"unsupported family {family!r}")
 
 
+def cartan_entries(family: str, rank: int) -> Callable[[int, int], int]:
+    """The Cartan entry a(i, j) = <alpha_j, alpha_i^vee>, 0-based, read from
+    the diagram edges without a rank x rank table; InvalidRankError for an
+    unsupported system."""
+    degrees(family, rank)
+    off = {}
+    for i, j, aij, aji in _diagram_edges(family, rank):
+        off[i, j] = aij
+        off[j, i] = aji
+    return lambda i, j: 2 if i == j else off.get((i, j), 0)
+
+
 def cartan_matrix(family: str, rank: int) -> Tuple[Coords, ...]:
     """Cartan matrix with a[i][j] = <alpha_j, alpha_i^vee>; InvalidRankError
     for an unsupported system. Builds no roots."""
-    degrees(family, rank)
-    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j, aij, aji in _diagram_edges(family, rank):
-        a[i][j] = aij
-        a[j][i] = aji
-    return tuple(tuple(row) for row in a)
+    a = cartan_entries(family, rank)
+    return tuple(tuple(a(i, j) for j in range(rank)) for i in range(rank))
 
 
 def symmetrizer(family: str, rank: int) -> Coords:
@@ -143,19 +151,6 @@ def strip_descents(
         x = coweight_reflect(bonds, x, i)
 
 
-def highest_root(roots: Collection[Coords]) -> Coords:
-    """The highest root of an irreducible root system, given as its set of
-    roots: the one positive root b with b + a outside the set for every
-    positive root a. ValueError when there is not exactly one, as for a
-    reducible set, which has one such root per component."""
-    rset = set(roots)
-    pos = [v for v in roots if all(x >= 0 for x in v)]
-    best = [b for b in pos if all(tuple(map(add, b, a)) not in rset for a in pos)]
-    if len(best) != 1:
-        raise ValueError("root set has no unique highest root")
-    return best[0]
-
-
 class Coweight(NamedTuple):
     """Coweight in the fundamental-coweight basis: coords[i] = value on alpha_i."""
 
@@ -184,6 +179,7 @@ class RootSystem:
             tuple((j, a) for j, a in enumerate(row) if a and j != i)
             for i, row in enumerate(self.cartan)
         )
+        self._simple_roots = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
         # norms[b] = (b, b) for every root b: one value per root length
         self.norms: Dict[Coords, int] = self._generate()
         self.roots: Tuple[Coords, ...] = tuple(sorted(self.norms))
@@ -193,10 +189,13 @@ class RootSystem:
         self.positive_roots: Tuple[Coords, ...] = tuple(
             r for r in self.roots if self.is_positive(r)
         )
-        self.highest_root: Coords = highest_root(self.roots)
-        # the highest root of an irreducible system is long
+        # the highest root of an irreducible system is its one root of
+        # greatest height, and it is long
+        self.highest_root: Coords = max(self.positive_roots, key=sum)
         self.long_norm = self.norms[self.highest_root]
-        # filled on first use (see coroot and span_members)
+        # filled on first use, one entry per root at most (see _row, coroot
+        # and span_members)
+        self._rows: Dict[Coords, Coords] = {}
         self._coroots: Dict[Coords, Coweight] = {}
         self._columns: Dict[Coords, Tuple[Tuple[int, ...], int]] = {}
 
@@ -206,10 +205,7 @@ class RootSystem:
         """Every root with its norm, by reflection closure from the simple
         roots: s_i preserves the form, so a root keeps the norm
         (alpha_i, alpha_i) = 2 d_i of the simple root it came from."""
-        norms = {
-            tuple(1 if j == i else 0 for j in range(self.rank)): 2 * d
-            for i, d in enumerate(self.symm)
-        }
+        norms = {a: 2 * d for a, d in zip(self._simple_roots, self.symm)}
         frontier = list(norms)
         while frontier:
             nxt = []
@@ -235,13 +231,24 @@ class RootSystem:
         """Simple root alpha_i, 1-based index."""
         if not 1 <= i <= self.rank:
             raise IndexError(f"simple index {i} out of range")
-        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
+        return self._simple_roots[i - 1]
 
     # -- bilinear form and pairings ----------------------------------------
 
+    def _row(self, b: Coords) -> Coords:
+        """B b, so that (u, b) = u . B b: kept on first use when b is a root,
+        computed afresh from the Gram matrix for any other vector."""
+        b = tuple(b)
+        row = self._rows.get(b)
+        if row is None:
+            row = tuple(sum(map(mul, g, b)) for g in self.gram)
+            if b in self.root_set:
+                self._rows[b] = row
+        return row
+
     def form(self, u: Coords, v: Coords) -> int:
         """(u, v) with (alpha_i, alpha_j) = d_i * a_ij; integer on the root lattice."""
-        return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.gram) if ui)
+        return sum(map(mul, u, self._rows.get(tuple(v)) or self._row(v)))
 
     def norm(self, b: Coords) -> int:
         """(b, b), read from the root norms when b is a root."""
@@ -249,7 +256,11 @@ class RootSystem:
         return self.form(b, b) if m is None else m
 
     def pairing(self, a: Coords, b: Coords) -> int:
-        """<a, b^vee> = 2(a,b)/(b,b) for b a root."""
+        """<a, b^vee> = 2(a,b)/(b,b): the coroot's values summed over a when
+        b is a root."""
+        b = tuple(b)
+        if b in self.root_set:
+            return sum(map(mul, a, self.coroot(b).coords))
         num = 2 * self.form(a, b)
         den = self.norm(b)
         q, r = divmod(num, den)
@@ -270,15 +281,19 @@ class RootSystem:
     # -- coweights -----------------------------------------------------------
 
     def coroot(self, b: Coords) -> Coweight:
-        """b^vee as a coweight, kept per b: value on alpha_i is <alpha_i, b^vee> = 2 (B b)_i / (b, b)."""
+        """b^vee as a coweight, kept per root b: value on alpha_i is
+        <alpha_i, b^vee> = 2 (B b)_i / (b, b)."""
         b = tuple(b)
-        if b not in self._coroots:
+        h = self._coroots.get(b)
+        if h is None:
             n = self.norm(b)
-            values = [divmod(2 * sum(map(mul, row, b)), n) for row in self.gram]
+            values = [divmod(2 * x, n) for x in self._row(b)]
             if any(r for _, r in values):
                 raise ValueError("pairing is not integral; b is not a root")
-            self._coroots[b] = Coweight(tuple(q for q, _ in values))
-        return self._coroots[b]
+            h = Coweight(tuple(q for q, _ in values))
+            if b in self.root_set:
+                self._coroots[b] = h
+        return h
 
     def coweight_value(self, h: Coweight, v: Coords) -> int:
         """Value of h on a root-lattice element v."""
@@ -309,7 +324,7 @@ class RootSystem:
         lcm(n_i), by Bessel's equality."""
         if any(self.form(a, b) for a, b in combinations(roots, 2)):
             raise ValueError("input roots are not pairwise orthogonal")
-        forms = [tuple(sum(map(mul, row, b)) for row in self.gram) for b in roots]
+        forms = [self._row(b) for b in roots]
         norms = [sum(map(mul, b, f)) for b, f in zip(roots, forms)]
         lcm = math.lcm(*norms)
         proj = [sum(map(mul, gamma, f)) for f in forms]
@@ -342,7 +357,7 @@ class RootSystem:
     def _column(self, theta: Coords) -> Tuple[Tuple[int, ...], int]:
         """(gamma, theta) over the roots gamma and their squares packed one byte each."""
         if theta not in self._columns:
-            bt = [sum(map(mul, row, theta)) for row in self.gram]
+            bt = self._row(theta)
             proj = tuple(sum(map(mul, g, bt)) for g in self.roots)
             self._columns[theta] = (proj, int.from_bytes(bytes(p * p for p in proj), "little"))
         return self._columns[theta]

@@ -6,11 +6,18 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from weylorbits.linkpatterns import OrientedLinkPattern, matrix_from_olp
-from weylorbits.nilpotent import CaseLabel, OrthogonalSet, _case_supports, _components, _subdiagram_type
+from weylorbits.nilpotent import (
+    CascadeNode,
+    CaseLabel,
+    OrthogonalSet,
+    _case_supports,
+    _components,
+    _subdiagram_type,
+)
 from weylorbits.quotient import IJKDatum, QuotientElement
 from weylorbits.roots import Coords, Coweight, RootSystem, degrees
 from weylorbits.weyl import WeylElement, from_word, identity, reflection
@@ -23,6 +30,14 @@ ALL_SYSTEMS = (
     + [("D", n) for n in range(3, 9)]
     + [("E", n) for n in (6, 7, 8)]
     + [("F", 4), ("G", 2)]
+)
+
+# every supported (family, rank) of rank at most 12
+SYSTEMS_TO_12 = (
+    [("A", n) for n in range(1, 13)]
+    + [(f, n) for f in "BC" for n in range(2, 13)]
+    + [("D", n) for n in range(3, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
 
 
@@ -526,3 +541,70 @@ def spherical_by_pattern(oset: OrthogonalSet) -> bool:
     else:  # G2
         non_spherical = bool(_case_supports(oset, "G2both"))
     return not non_spherical
+
+
+# -- the root-system kernels by their Gram-matrix definitions -----------------
+
+
+def gram_form(system: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
+    """(u, v) = sum u_i B_ij v_j over the whole Gram matrix B = D A."""
+    return sum(
+        u[i] * system.gram[i][j] * v[j] for i in range(system.rank) for j in range(system.rank)
+    )
+
+
+def gram_pairing(system: RootSystem, a: Sequence[int], b: Sequence[int]) -> int:
+    """<a, b^vee> = 2 (a, b) / (b, b); ValueError when it is not an integer."""
+    q, r = divmod(2 * gram_form(system, a, b), gram_form(system, b, b))
+    if r:
+        raise ValueError("pairing is not integral")
+    return q
+
+
+def gram_reflect(system: RootSystem, a: Sequence[int], b: Sequence[int]) -> Coords:
+    """s_b(a) = a - <a, b^vee> b."""
+    c = gram_pairing(system, a, b)
+    return tuple(x - c * y for x, y in zip(a, b))
+
+
+def gram_coroot(system: RootSystem, b: Sequence[int]) -> Coweight:
+    """b^vee as a coweight: its value on alpha_i is <alpha_i, b^vee>."""
+    simple = (system.simple_root(i) for i in range(1, system.rank + 1))
+    return Coweight(tuple(gram_pairing(system, a, b) for a in simple))
+
+
+# -- the cascade on the pool of roots ------------------------------------------
+
+
+def highest_root(roots: Collection[Coords]) -> Coords:
+    """The highest root of an irreducible root system, given as its set of
+    roots: the one positive root b with b + a outside the set for every
+    positive root a. ValueError when there is not exactly one, as for a
+    reducible set, which has one such root per component."""
+    rset = set(roots)
+    pos = [v for v in roots if all(x >= 0 for x in v)]
+    best = [b for b in pos if all(tuple(map(add, b, a)) not in rset for a in pos)]
+    if len(best) != 1:
+        raise ValueError("root set has no unique highest root")
+    return best[0]
+
+
+def chain_cascade_by_pool(system: RootSystem, max_depth: Optional[int] = None) -> CascadeNode:
+    """The cascade tree grown on sets of roots: the components of the pool
+    under (a, b) != 0, each ordered by its smallest root, branch through
+    their highest roots, and a child's pool is the roots of its component
+    orthogonal to that highest root."""
+
+    def grow(chain: Tuple[Coords, ...], pool: List[Coords], depth: int) -> CascadeNode:
+        h = OrthogonalSet(system, chain).coroot_sum() if chain else Coweight((0,) * system.rank)
+        h_dom, _ = system.dominantize(h)
+        node = CascadeNode(chain, h, h_dom, [])
+        if max_depth is not None and depth >= max_depth:
+            return node
+        for comp in _components(pool, lambda a, b: system.form(a, b) != 0):
+            theta = highest_root(comp)
+            sub = [v for v in comp if system.form(v, theta) == 0]
+            node.children.append(grow(chain + (theta,), sub, depth + 1))
+        return node
+
+    return grow((), list(system.roots), 0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -432,6 +433,36 @@ def test_bad_datum_beats_cap(capsys, monkeypatch, cap, argv):
     else:
         monkeypatch.setenv("WEYLORBITS_CAP", cap)
     _assert_usage_error(capsys, *argv)
+
+
+A3000 = ("--type", "A", "--rank", "3000")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("poset", *A3000, "--I", "1", "--J", "3"), 3),
+        (("selftest", "--coxeter", "A3000"), 3),
+        (("poset", *A3000, "--I", "3001", "--J", "3"), 2),
+        (("poset", *A3000, "--I", "1", "--J", "2"), 2),
+        (("compare", *A3000, "--I", "1 2", "--J", "4 5", "--star", "1:5 2:5", "1", "2"), 2),
+    ],
+    ids=["poset", "selftest", "bad-index", "connected", "bad-star"],
+)
+def test_datum_check_builds_no_cartan_table(capsys, monkeypatch, argv, code):
+    # the datum is checked on the Cartan entries among I u J u K before the
+    # cap: a rank x rank matrix at rank 3000 took over 100 MB before exit 3
+    monkeypatch.setenv("WEYLORBITS_CAP", "5")
+    tracemalloc.start()
+    try:
+        got = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert got == code and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert peak < 8 * 2**20, peak
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

@@ -6,12 +6,17 @@ The corpus was recorded by tests/golden/record.py; see its docstring.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from weylorbits import nilpotent as nil
 from weylorbits.cli import main
+from weylorbits.roots import build_root_system
+
+from oracles import orthogonal_subsets
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
@@ -75,3 +80,45 @@ def test_classify_and_cascade_goldens_under_python_O():
     assert ast.literal_eval(proc.stdout.strip()) == (
         1, len(names), [], "G2: Bessel defects do not fit in 7 bits"
     )
+
+
+# The classify goldens of D4, B3, C3, B2 and G2, and the orthogonal sets of
+# A3: their systems share the theta norm 2 (every root of A3 and D4, the
+# short roots of the others) but have long norms 2, 4 and 6.
+LABEL_GOLDENS = [c for c in MANIFEST if re.match(r"classify-\d-", c["name"])]
+LABEL_SYSTEMS = [("A", 3), ("D", 4), ("B", 3), ("C", 3), ("B", 2), ("G", 2)]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_label_memo_is_keyed_on_the_long_norm(order, capsys, monkeypatch):
+    # one process labels these systems in one order or the other, through
+    # one memo of (case, coefficients); the goldens must come out either
+    # way, and each signature met, asked again under every long norm, must
+    # get what the unmemoized function computes for that long norm
+    monkeypatch.delenv("WEYLORBITS_CAP", raising=False)
+    nil._case.cache_clear()
+    for case in LABEL_GOLDENS[::order]:
+        assert main(case["argv"]) == case["exit"]
+        with open(os.path.join(GOLDEN, case["name"]), "rb") as fh:
+            assert capsys.readouterr().out.encode("utf-8") == fh.read(), case["name"]
+    signatures = set()
+    for family, rank in LABEL_SYSTEMS[::order]:
+        rs = build_root_system(family, rank)
+        for thetas in orthogonal_subsets(rs, 4):
+            norms = tuple(rs.norms[t] for t in thetas)
+            for o in nil.orthogonal_set(rs, thetas).offenders:
+                proj = tuple(int(q * n) for q, n in zip(o.coefficients, norms))
+                signatures.add((proj, norms, rs.norms[o.beta] == rs.long_norm))
+    assert len(signatures) > 20
+    for proj, norms, beta_long in sorted(signatures)[::order]:
+        for long_norm in (2, 4, 6)[::order]:
+            args = (proj, norms, long_norm, beta_long)
+            assert _outcome(nil._case, *args) == _outcome(nil._case.__wrapped__, *args), args

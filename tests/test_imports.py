@@ -86,8 +86,9 @@ def test_command_loads_only_its_layers(argv, code, modules):
 
 
 # No command loads dataclasses or inspect. fractions is loaded only by
-# nilpotent, whose case coefficients are Fractions; roots imports it only
-# when span_membership returns coefficients.
+# classify, whose case coefficients are Fractions: nilpotent imports it only
+# when a case is labelled and roots only when span_membership returns
+# coefficients, so cascade does without it.
 @pytest.mark.parametrize(
     "name,stdlib",
     [
@@ -95,7 +96,7 @@ def test_command_loads_only_its_layers(argv, code, modules):
         ("compare", []),
         ("orbits", []),
         ("classify", ["fractions"]),
-        ("cascade", ["fractions"]),
+        ("cascade", []),
     ],
     ids=["poset", "compare", "orbits", "classify", "cascade"],
 )

@@ -30,6 +30,8 @@ from weylorbits.weyl import from_word, reflection
 
 from oracles import (
     ALL_SYSTEMS,
+    SYSTEMS_TO_12,
+    chain_cascade_by_pool,
     involution_element,
     label_by_diagram,
     orthogonal_subsets,
@@ -329,6 +331,20 @@ def test_cascade_gandini_dominance():
             oset = orthogonal_set(rs, node.chain)
             if height_of_sum(oset) == 2:
                 assert node.coweight.is_dominant()
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS_TO_12)
+def test_diagram_cascade_matches_the_pool_cascade(family, rank):
+    # the cascade grown on sets of simple indices equals the one grown on
+    # sets of roots: chains, h, h dominant and the order of the children,
+    # in full and cut at every depth
+    rs = build_root_system(family, rank)
+    full = chain_cascade(rs)
+    assert full == chain_cascade_by_pool(rs)
+    depth = max(len(chain) for chain in cascade_chains(full))
+    for max_depth in range(depth + 1):
+        assert chain_cascade(rs, max_depth) == chain_cascade_by_pool(rs, max_depth)
+    assert chain_cascade(rs, depth) == full and chain_cascade(rs, depth - 1) != full
 
 
 def test_weighted_dynkin():

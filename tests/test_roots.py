@@ -11,14 +11,19 @@ from weylorbits.roots import (
     build_root_system,
     cartan_matrix,
     degrees,
-    highest_root,
     symmetrizer,
 )
 
 from oracles import (
     ALL_SYSTEMS,
+    SYSTEMS_TO_12,
     coweight_from_coroot_basis,
     coweight_to_coroot_basis,
+    gram_coroot,
+    gram_form,
+    gram_pairing,
+    gram_reflect,
+    highest_root,
     _reflect_simple,
     positive_definite,
     projection_span_membership,
@@ -29,15 +34,6 @@ def test_classical_counts(family, rank):
     rs = build_root_system(family, rank)
     assert len(rs.roots) == 2 * sum(d - 1 for d in degrees(family, rank))
     assert 2 * len(rs.positive_roots) == len(rs.roots)
-
-
-# every supported (family, rank) of rank at most 12
-SYSTEMS_TO_12 = (
-    [("A", n) for n in range(1, 13)]
-    + [(f, n) for f in "BC" for n in range(2, 13)]
-    + [("D", n) for n in range(3, 13)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
 
 
 @pytest.mark.parametrize("family,rank", SYSTEMS_TO_12)
@@ -315,6 +311,14 @@ def test_highest_root_is_the_unique_root_of_greatest_height(family, rank):
     assert sum(rs.highest_root) == heights[-1] and heights.count(heights[-1]) == 1
 
 
+@pytest.mark.parametrize("family,rank", SYSTEMS_TO_12)
+def test_highest_root_is_the_root_with_no_positive_root_above(family, rank):
+    # the system takes its root of greatest height; the definition scans
+    # every pair of positive roots
+    rs = build_root_system(family, rank)
+    assert rs.highest_root == highest_root(rs.roots)
+
+
 def test_highest_root_of_a_reducible_set_raises():
     # in B2, alpha_1 and alpha_1 + 2 alpha_2 are orthogonal long roots: A1 x A1
     b2 = build_root_system("B", 2)
@@ -323,3 +327,44 @@ def test_highest_root_of_a_reducible_set_raises():
     with pytest.raises(ValueError):
         highest_root([a, tuple(-x for x in a), b, tuple(-x for x in b)])
     assert highest_root(b2.roots) == b2.highest_root == b
+
+
+# every supported (family, rank) of rank at most 4, with F4 and E6
+KERNEL_SYSTEMS = [(f, n) for f, n in SYSTEMS_TO_12 if n <= 4] + [("E", 6)]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)
+def test_kernels_match_gram_definitions(family, rank):
+    # form, pairing, reflect and coroot read one cached row B b per root b;
+    # each must equal its definition on the whole Gram matrix, on every pair
+    # of roots and on arguments that are not roots, which are never cached
+    rs = RootSystem(family, rank)  # a fresh system, with empty row caches
+    coroots = {b: gram_coroot(rs, b) for b in rs.roots}
+    for b in rs.roots:
+        assert rs.coroot(b) == coroots[b]
+        for a in rs.roots:
+            assert rs.form(a, b) == gram_form(rs, a, b)
+            assert rs.pairing(a, b) == gram_pairing(rs, a, b)
+            assert rs.reflect(a, b) == gram_reflect(rs, a, b)
+    zero = (0,) * rank
+    double = tuple(2 * x for x in rs.simple_root(1))
+    for b in rs.roots:
+        for v in (zero, double, list(b)):
+            assert rs.form(v, b) == gram_form(rs, v, b)
+            assert rs.form(b, v) == gram_form(rs, b, v)
+            for f, g in ((rs.pairing, gram_pairing), (rs.reflect, gram_reflect)):
+                assert _outcome(f, b, v) == _outcome(g, rs, b, v)
+    for v in (zero, double):
+        assert _outcome(rs.coroot, v) == _outcome(gram_coroot, rs, v)
+        assert rs.norm(v) == gram_form(rs, v, v)
+    assert rs.coroot(list(rs.highest_root)) == coroots[rs.highest_root]
+    for cache in (rs._rows, rs._coroots):
+        assert len(cache) <= len(rs.roots) and set(cache) <= rs.root_set
