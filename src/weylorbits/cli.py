@@ -70,11 +70,12 @@ def _build_system(family: str, rank: int) -> RootSystem:
 
 
 def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
-    """The root systems with their Weyl groups enumerated under WEYLORBITS_CAP
-    (WeylGroup.DEFAULT_CAP if unset), built only after every system is known to
-    be supported (UsageError otherwise) and |W|, the product of the degrees, to
-    fit under the cap; |W| >= 2^rank refuses a rank above the cap's bit length
-    first. classify and cascade never enumerate and ignore the cap."""
+    """The root systems, each with its Weyl group made (not enumerated) under
+    WEYLORBITS_CAP (WeylGroup.DEFAULT_CAP if unset), built only after every
+    system is known to be supported (UsageError otherwise) and |W|, the
+    product of the degrees, to fit under the cap; |W| >= 2^rank refuses a
+    rank above the cap's bit length first. classify and cascade ignore the
+    cap."""
     cap = os.environ.get("WEYLORBITS_CAP")
     try:
         limit = WeylGroup.DEFAULT_CAP if cap is None else int(cap)
@@ -290,7 +291,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     if 2 * r > n or r < 0:
         raise UsageError("need 0 <= 2r <= n")
     if r:
-        _capped_systems(("A", n - 1))  # orbit_pair_params enumerates its group
+        _capped_systems(("A", n - 1))  # the datum of orbit_pair_params
     params = lp.orbit_pair_params(n, r)
     rows = []
     for (w1inv, w2inv), line, zdim in params:

@@ -6,15 +6,27 @@ I -> J. The order w' <=_O w holds iff some member of [w'] is Bruhat-below w;
 it is computed through the least-length coset members Min(w').
 Canonical representatives, the union M of the Min sets and the Min sets
 follow from u = u^L a_I a_J a_K, u^L in W^L, L = I u J u K (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Prop. 2.4.4), without a coset scan.
+Combinatorics of Coxeter Groups, Prop. 2.4.4), without a coset scan, and
+W^{J u K} is enumerated as an orbit on its own, so W is never enumerated.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .roots import Coords, RootSystem, coweight_reflect, strip_descents
-from .weyl import WeylElement, bruhat_leq_keys, check_system, from_word, simple_mask, weyl_group
+from .weyl import (
+    WeylElement,
+    WeylGroup,
+    _orbit,
+    bruhat_leq_keys,
+    check_system,
+    from_word,
+    simple_indices,
+    weyl_group,
+)
 
 
 def check_datum(
@@ -67,8 +79,9 @@ def check_datum(
 class IJKDatum:
     """The triple (I, J, K) with the star isomorphism W_I -> W_J.
 
-    W_I, W_K, the star images x -> x* and the products x x* are computed
-    once here, as elements of the datum's group.
+    The datum works on keys and enumerates no group: W_I (and W_K, for a
+    coset) is the orbit of rho^vee under its own generators. The datum's
+    elements are kept in one map by key, each with its length.
     """
 
     def __init__(
@@ -83,31 +96,51 @@ class IJKDatum:
         self.I, self.J, self.K, self.star_map = check_datum(
             system.rank, lambda i, j: system.cartan[i][j], I, J, K, star
         )
-        self.group = weyl_group(system)
         self.L = tuple(sorted(self.I + self.J + self.K))
-        g = self.group
         self._jk = self.J + self.K
-        self._l_mask = simple_mask(system.rank, self.L)
-        self._w_i = g.subgroup_elements(self.I)
-        self._w_k = g.subgroup_elements(self.K)
-        # a reduced word of x in W_I maps letter by letter to one of x*
-        self._star = {
-            x: g.element(from_word(system, [self.star_map[i] for i in x.reduced_word()]).x)
-            for x in self._w_i
-        }
-        self._diag = [x.mul(self._star[x]) for x in self._w_i]
+        self._l_idx = simple_indices(system.rank, self.L)
+        self._own: Dict[Coords, WeylElement] = {}
+        self._w_i = self._subgroup(self.I)
         self._unstar = {v: k for k, v in self.star_map.items()}
         self._min_cache: Dict[Coords, List[WeylElement]] = {}
+
+    @property
+    def group(self) -> WeylGroup:
+        """The whole Weyl group of the system (weyl_group), for callers that
+        enumerate it; the datum never reads it."""
+        return weyl_group(self.system)
+
+    def _element(
+        self, x: Coords, length: Optional[int] = None, word: Optional[Tuple[int, ...]] = None
+    ) -> WeylElement:
+        """The datum's own element with key x."""
+        w = self._own.get(x)
+        if w is None:
+            w = self._own[x] = WeylElement(self.system, x, length, word)
+        return w
+
+    def _subgroup(self, S: Tuple[int, ...]) -> List[WeylElement]:
+        """W_S breadth-first by length."""
+        rs = self.system
+        orbit = _orbit(rs.bonds, (1,) * rs.rank, [i - 1 for i in S])
+        return [self._element(x, n) for x, n in orbit.items()]
+
+    @cached_property
+    def _coroots(self) -> List[Tuple[Coords, Coords]]:
+        """The pairs (beta, beta^vee) over the positive roots."""
+        rs = self.system
+        return [(beta, rs.coroot(beta).coords) for beta in rs.positive_roots]
 
     # -- star and cosets ----------------------------------------------------
 
     def star_extend(self, x: WeylElement) -> WeylElement:
-        """Image of x in W_J under the induced isomorphism."""
+        """Image of x in W_J under the induced isomorphism: a reduced word of
+        x in W_I maps letter by letter to one of x*."""
         check_system(self.system, x)
-        image = self._star.get(x)
-        if image is None:
+        word = x.reduced_word()
+        if not set(word) <= set(self.I):
             raise ValueError("element is not in W_I")
-        return image
+        return self._element(from_word(self.system, [self.star_map[i] for i in word]).x, len(word))
 
     def w_i_elements(self) -> List[WeylElement]:
         return list(self._w_i)
@@ -115,16 +148,18 @@ class IJKDatum:
     def coset(self, w: WeylElement) -> List[WeylElement]:
         """[w] = {w a x x* : a in W_K, x in W_I}; size |W_K| * |W_I|."""
         check_system(self.system, w)
+        w_k = self._subgroup(self.K)
+        diag = [x.mul(self.star_extend(x)) for x in self._w_i]
         out = []
         seen = set()
-        for a in self._w_k:
+        for a in w_k:
             wa = w.mul(a)
-            for xx in self._diag:
+            for xx in diag:
                 u = wa.mul(xx)
                 if u not in seen:
                     seen.add(u)
-                    out.append(self.group.element(u.x))
-        if len(out) != len(self._w_k) * len(self._w_i):
+                    out.append(self._element(u.x))
+        if len(out) != len(w_k) * len(self._w_i):
             raise AssertionError("coset size differs from |W_K| * |W_I|")
         return out
 
@@ -133,7 +168,7 @@ class IJKDatum:
         J u K: u^L a_I y^{-1} for u = u^L a_I a_J a_K (commuting parts, each
         spelled by its own letters) and y in W_I with y* = a_J."""
         bonds = self.system.bonds
-        letters, x = strip_descents(bonds, u, self._l_mask)
+        letters, x = strip_descents(bonds, u, self._l_idx)
         for i in reversed(letters):
             if i in self.star_map:
                 x = coweight_reflect(bonds, x, i - 1)
@@ -145,14 +180,27 @@ class IJKDatum:
     def canonical_rep(self, w: WeylElement) -> "QuotientElement":
         """The unique member of [w] with no right descent in J u K."""
         check_system(self.system, w)
-        return QuotientElement(self, self.group.element(self._rep_key(w.x)))
+        return QuotientElement(self, self._element(self._rep_key(w.x)))
+
+    @cached_property
+    def _nodes(self) -> List["QuotientElement"]:
+        """W^{J u K} as the orbit of lambda = sum of the fundamental coweights
+        outside J u K, whose stabilizer is W_{J u K}: w <-> mu = w(lambda).
+        The left descents of w are the i with mu_i < 0, so stripping them
+        spells the lexicographically least reduced word of w, and replaying
+        that word from rho^vee gives the key."""
+        rs = self.system
+        lam = tuple(0 if i + 1 in self._jk else 1 for i in range(rs.rank))
+        nodes = []
+        for mu in _orbit(rs.bonds, lam, range(rs.rank)):
+            word = tuple(strip_descents(rs.bonds, mu)[0])
+            nodes.append((len(word), word))
+        nodes.sort()
+        return [QuotientElement(self, self._element(from_word(rs, w).x, word=w)) for _, w in nodes]
 
     def quotient_elements(self) -> List["QuotientElement"]:
         """All of W(I,J,K) = W^{J u K}, by (length, reduced word)."""
-        lengths = self.group.lengths
-        reps = self.group.min_coset_reps(self._jk)
-        reps.sort(key=lambda w: (lengths[w.x], w.reduced_word()))
-        return [QuotientElement(self, w) for w in reps]
+        return list(self._nodes)
 
     # -- membership in the union of Min sets ---------------------------------
 
@@ -160,22 +208,35 @@ class IJKDatum:
         """True iff u lies in Min(w) for some w: the cosets partition W, so
         iff u is as short as the transversal member of its coset."""
         check_system(self.system, u)
-        return self.group.lengths[self._rep_key(u.x)] == u.length()
+        return self._element(self._rep_key(u.x)).length() == u.length()
 
     def _min_elements(self, w: "QuotientElement") -> List[WeylElement]:
-        """Min(w) as the group's own elements, cached per representative."""
+        """Min(w) as the datum's own elements, cached per representative.
+
+        w = w^L a with a in W_I, since w has no right descent in J u K, so
+        l(w x x*) = l(w x) + l(x) for x in W_I; w is least in [w], so
+        w x x* is in Min(w) iff l(w x) = l(w) - l(x), that is, iff each
+        letter of a reduced word of x is a right descent in turn."""
         cached = self._min_cache.get(w.rep.x)
         if cached is None:
-            g = self.group
-            length = g.lengths[w.rep.x]
-            products = (w.rep.mul(xx).x for xx in self._diag)
-            cached = [g.element(u) for u in products if g.lengths[u] == length]
+            bonds, length = self.system.bonds, w.length()
+            cached = []
+            for x in self._w_i:
+                u, word = w.rep.x, x.reduced_word()
+                for i in word:
+                    if u[i - 1] > 0:
+                        break
+                    u = coweight_reflect(bonds, u, i - 1)
+                else:
+                    for i in word:
+                        u = coweight_reflect(bonds, u, self.star_map[i] - 1)
+                    cached.append(self._element(u, length))
             self._min_cache[w.rep.x] = cached
         return cached
 
 
 class QuotientElement:
-    """An element of W(I,J,K), held as the group's own element."""
+    """An element of W(I,J,K), held as the datum's own element."""
 
     __slots__ = ("datum", "rep")
 
@@ -184,7 +245,7 @@ class QuotientElement:
         if any(rep.x[i - 1] < 0 for i in datum._jk):
             raise ValueError("representative has a right descent in J u K")
         self.datum = datum
-        self.rep = datum.group.element(rep.x)
+        self.rep = datum._element(rep.x)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuotientElement) and self.rep == other.rep
@@ -196,7 +257,7 @@ class QuotientElement:
         return repr(self.rep)
 
     def length(self) -> int:
-        return self.datum.group.lengths[self.rep.x]
+        return self.rep.length()
 
 
 def min_set(w: QuotientElement) -> List[WeylElement]:
@@ -218,17 +279,24 @@ def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
 
 
 def covers_O_below(w: QuotientElement) -> List[QuotientElement]:
-    """All w' covered by w: Bruhat covers below w that lie in some Min set."""
+    """All w' covered by w: the Bruhat covers u below w that lie in some
+    Min set. The candidates are the u = w s_beta shorter than w (beta > 0,
+    <beta, x> < 0, key s_beta(x) = x - <beta, x> beta^vee). Since
+    l(rep(u)) <= l(u) < l(w), u is such a cover exactly when the member
+    rep(u) of W(I,J,K) in its coset has length l(w) - 1."""
     datum = w.datum
+    x, target = w.rep.x, w.length() - 1
     out = []
     seen = set()
-    for u in datum.group.bruhat_covers_below(w.rep):
-        wp = datum.canonical_rep(u)
-        if wp.length() == datum.group.lengths[u.x] and wp.rep not in seen:
-            seen.add(wp.rep)
-            out.append(wp)
-    if any(wp.length() != w.length() - 1 for wp in out):
-        raise AssertionError("a cover below w is not one rank lower")
+    for beta, coroot in datum._coroots:
+        c = sum(map(mul, beta, x))
+        if c < 0:
+            r = datum._rep_key(tuple(xi - c * h for xi, h in zip(x, coroot)))
+            if r not in seen:
+                seen.add(r)
+                rep = datum._element(r)
+                if rep.length() == target:
+                    out.append(QuotientElement(datum, rep))
     return out
 
 

@@ -130,16 +130,16 @@ def coweight_reflect(bonds: Bonds, x: Coords, i: int) -> Coords:
 
 
 def strip_descents(
-    bonds: Bonds, x: Coords, mask: Optional[int] = None
+    bonds: Bonds, x: Coords, indices: Optional[Sequence[int]] = None
 ) -> Tuple[List[int], Coords]:
-    """Reflect at the smallest 0-based index i with x_i < 0 (only indices
-    whose bit is set in `mask`, if given) until there is none.
+    """Reflect at the smallest 0-based index i with x_i < 0 (only among the
+    ascending `indices`, if given) until there is none.
 
     Returns the 1-based letters in application order and the final coweight.
     For a Weyl group key x = w^{-1}(rho^vee) the letters p_1..p_k are right
     descents removed in turn: w = u s_{p_k} ... s_{p_1} where u has the final key.
     """
-    idx = range(len(x)) if mask is None else [i for i in range(len(x)) if mask >> i & 1]
+    idx = range(len(x)) if indices is None else indices
     letters: List[int] = []
     while True:
         for i in idx:  # a plain loop: a generator per step costs twice as much
@@ -204,7 +204,9 @@ class RootSystem:
     def _generate(self) -> Dict[Coords, int]:
         """Every root with its norm, by reflection closure from the simple
         roots: s_i preserves the form, so a root keeps the norm
-        (alpha_i, alpha_i) = 2 d_i of the simple root it came from."""
+        (alpha_i, alpha_i) = 2 d_i of the simple root it came from. The
+        closure runs over the positive roots, which s_i permutes apart from
+        alpha_i -> -alpha_i; the negatives are added at the end."""
         norms = {a: 2 * d for a, d in zip(self._simple_roots, self.symm)}
         frontier = list(norms)
         while frontier:
@@ -212,7 +214,7 @@ class RootSystem:
             for v in frontier:
                 for i in range(self.rank):
                     w = self.reflect_simple(v, i)
-                    if w not in norms:
+                    if w[i] >= 0 and w not in norms:
                         norms[w] = norms[v]
                         nxt.append(w)
             frontier = nxt

@@ -8,9 +8,10 @@ w(alpha_i). The key is defined without enumerating the group:
 - the right descents of w are the indices i with x_i < 0;
 - removing right descents until x is dominant spells a reduced word of w.
 
-WeylGroup enumerates the orbit of rho^vee breadth-first and keeps only the
-list of elements and the length of each key. Bruhat order is decided on keys
-by the lifting property, without tables or a memo.
+WeylGroup knows its order from the degrees and enumerates the orbit of
+rho^vee breadth-first only when its elements or its length table are read.
+Bruhat order is decided on keys by the lifting property, without tables or
+a memo.
 
 The convention is that a word w = s_{i_1} ... s_{i_k} acts with the rightmost
 letter first (standard composition), so in type A the word s_2 s_1 has line
@@ -20,6 +21,7 @@ notation 3 1 2.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .roots import Bonds, Coords, RootSystem, coweight_reflect, degrees, strip_descents
@@ -34,15 +36,24 @@ class CapExceededError(RuntimeError):
 
 
 class WeylElement:
-    """A Weyl group element w, keyed by x = w^{-1}(rho^vee)."""
+    """A Weyl group element w, keyed by x = w^{-1}(rho^vee). A caller that
+    knows the length or the lex-least reduced word may pass it; otherwise
+    each is computed once, on first use."""
 
-    __slots__ = ("system", "x", "_hash", "_word")
+    __slots__ = ("system", "x", "_hash", "_word", "_length")
 
-    def __init__(self, system: RootSystem, x: Coords):
+    def __init__(
+        self,
+        system: RootSystem,
+        x: Coords,
+        length: Optional[int] = None,
+        word: Optional[Tuple[int, ...]] = None,
+    ):
         self.system = system
         self.x = x
         self._hash = hash(x)
-        self._word: Optional[Tuple[int, ...]] = None
+        self._word = word
+        self._length = len(word) if word is not None else length
 
     def __eq__(self, other: object) -> bool:
         # a key's length is the rank, but A3 and C3 share keys such as s3's
@@ -87,9 +98,9 @@ class WeylElement:
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
-        if self._word is not None:
-            return len(self._word)
-        return len(self._letters())
+        if self._length is None:
+            self._length = len(self._letters())
+        return self._length
 
     def right_descents(self) -> List[int]:
         """Simple indices i (1-based) with l(w s_i) < l(w), i.e. w(alpha_i) < 0."""
@@ -123,7 +134,7 @@ def identity(system: RootSystem) -> WeylElement:
 
 def from_word(system: RootSystem, word: Sequence[int]) -> WeylElement:
     """Product s_{i_1} ... s_{i_k}, rightmost letter acting first."""
-    simple_mask(system.rank, word)  # IndexError for a letter outside 1..rank
+    simple_indices(system.rank, word)  # IndexError for a letter outside 1..rank
     x = (1,) * system.rank
     for i in word:
         x = coweight_reflect(system.bonds, x, i - 1)
@@ -140,7 +151,7 @@ def parabolic_decompose(
 ) -> Tuple[WeylElement, WeylElement]:
     """Unique factorization w = w_upper * w_lower with w_lower in W_L, w_upper in W^L."""
     rs = w.system
-    letters, x = strip_descents(rs.bonds, w.x, simple_mask(rs.rank, L))
+    letters, x = strip_descents(rs.bonds, w.x, simple_indices(rs.rank, L))
     return WeylElement(rs, x), from_word(rs, letters[::-1])
 
 
@@ -174,24 +185,27 @@ def check_system(system: RootSystem, w: WeylElement) -> None:
         raise ValueError("element of another root system")
 
 
-def _orbit(bonds: Bonds, rank: int, gens: Iterable[int]) -> Dict[Coords, int]:
-    """Keys of W_gens (0-based generators) with their lengths, breadth-first.
+def _orbit(bonds: Bonds, start: Coords, gens: Iterable[int]) -> Dict[Coords, int]:
+    """The orbit of a dominant coweight under W_gens (0-based generators),
+    breadth-first, each point v(start) with the length of the shortest such v.
 
-    A key is reflected only at its ascents (x_i > 0): there w s_i is one
-    longer than w, and a descent leads back to a key already seen.
+    A point mu = v(start) is reflected only where mu_i > 0: there s_i v is one
+    longer than v and still shortest (Deodhar's lemma); mu_i < 0 leads back
+    to a point already seen, and mu_i = 0 to mu itself. From start = rho^vee,
+    whose stabilizer is trivial, the points are the keys of W_gens: the key of
+    w is w^{-1}(rho^vee), and s_i(x) is the key of w s_i.
     """
-    start = (1,) * rank
-    keys = [start]
+    points = [start]
     lengths = {start: 0}
-    # keys grows while it is read: a FIFO queue, so the order is breadth-first
-    for x in keys:
+    # points grows while it is read: a FIFO queue, so the order is breadth-first
+    for x in points:
         length = lengths[x] + 1
         for i in gens:
             if x[i] > 0:
                 y = coweight_reflect(bonds, x, i)
                 if y not in lengths:
                     lengths[y] = length
-                    keys.append(y)
+                    points.append(y)
     return lengths
 
 
@@ -215,94 +229,95 @@ def bruhat_leq_keys(bonds: Bonds, u: Coords, lu: int, w: Coords, lw: int) -> boo
 
 
 class WeylGroup:
-    """Full enumeration of a finite Weyl group.
+    """A finite Weyl group, enumerated only when a caller reads it whole.
 
-    `elements` lists the group breadth-first by length, and `lengths` maps
-    each key to the length of its element. `element(x)` returns the group's
-    own element for a key, which computes its reduced word once.
+    Construction checks |W|, the product of the degrees, against the cap and
+    enumerates nothing. `lengths` maps each key to the length of its element
+    and `elements` lists the group breadth-first by length; both are built on
+    first use. `element(x)` returns the group's own element for a key, which
+    computes its reduced word once. Bruhat order needs no enumeration.
     """
 
     DEFAULT_CAP = 1_000_000
 
     def __init__(self, system: RootSystem, cap: int = DEFAULT_CAP):
-        order = math.prod(degrees(system.family, system.rank))
-        if order > cap:
+        self._order = math.prod(degrees(system.family, system.rank))
+        if self._order > cap:
             raise CapExceededError(cap)
         self.system = system
-        self.lengths = _orbit(system.bonds, system.rank, range(system.rank))
-        if len(self.lengths) != order:
-            name = f"{system.family}{system.rank}"
-            raise AssertionError(f"W({name}) has {len(self.lengths)} elements, expected {order}")
-        self.elements = [WeylElement(system, x) for x in self.lengths]
-        self._own = {w.x: w for w in self.elements}
-        self._coroots = [(beta, system.coroot(beta).coords) for beta in system.positive_roots]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._order
+
+    @cached_property
+    def lengths(self) -> Dict[Coords, int]:
+        rs = self.system
+        lengths = _orbit(rs.bonds, (1,) * rs.rank, range(rs.rank))
+        if len(lengths) != self._order:
+            name = f"{rs.family}{rs.rank}"
+            raise AssertionError(f"W({name}) has {len(lengths)} elements, expected {self._order}")
+        return lengths
+
+    @cached_property
+    def elements(self) -> List[WeylElement]:
+        return [WeylElement(self.system, x, length) for x, length in self.lengths.items()]
+
+    @cached_property
+    def _own(self) -> Dict[Coords, WeylElement]:
+        return {w.x: w for w in self.elements}
 
     def element(self, x: Coords) -> WeylElement:
         """The group's own element with key x."""
         return self._own[x]
 
-    def covers_below(self, x: Coords) -> List[Coords]:
-        """Keys of the Bruhat covers w s_beta (beta > 0) below the element w
-        with key x: (w s_beta)^{-1} rho^vee = s_beta(x) = x - <beta, x> beta^vee,
-        and l(w s_beta) < l(w) iff <beta, x> < 0."""
-        target = self.lengths[x] - 1
-        out = []
-        for beta, coroot in self._coroots:
-            c = sum(b * xi for b, xi in zip(beta, x))
-            if c < 0:
-                u = tuple(xi - c * h for xi, h in zip(x, coroot))
-                if self.lengths[u] == target:
-                    out.append(u)
-        return out
-
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
-        """Strong Bruhat order via the lifting property (Bjorner-Brenti 2.2)."""
+        """Strong Bruhat order via the lifting property (Bjorner-Brenti 2.2),
+        with the lengths of the elements themselves."""
         check_system(self.system, u)
         check_system(self.system, w)
-        lengths = self.lengths
-        return bruhat_leq_keys(self.system.bonds, u.x, lengths[u.x], w.x, lengths[w.x])
+        return bruhat_leq_keys(self.system.bonds, u.x, u.length(), w.x, w.length())
 
     def bruhat_covers_below(self, w: WeylElement) -> List[WeylElement]:
-        """All u with u covered by w; each u = w * t for a reflection t."""
+        """All u covered by w: the u = w s_beta (beta > 0) one shorter than w.
+        The key of w s_beta is s_beta(x) = x - <beta, x> beta^vee, and
+        l(w s_beta) < l(w) iff <beta, x> < 0."""
         check_system(self.system, w)
-        return [self._own[u] for u in self.covers_below(w.x)]
-
-    def _gens(self, L: Iterable[int]) -> List[int]:
-        mask = simple_mask(self.system.rank, L)
-        return [i for i in range(self.system.rank) if mask >> i & 1]
+        rs, x = self.system, w.x
+        target = self.lengths[x] - 1
+        out = []
+        for beta in rs.positive_roots:
+            c = sum(b * xi for b, xi in zip(beta, x))
+            if c < 0:
+                u = tuple(xi - c * h for xi, h in zip(x, rs.coroot(beta).coords))
+                if self.lengths[u] == target:
+                    out.append(self._own[u])
+        return out
 
     def subgroup_elements(self, L: Iterable[int]) -> List[WeylElement]:
         """All elements of the standard parabolic W_L, breadth-first by length."""
         rs = self.system
-        return [self._own[x] for x in _orbit(rs.bonds, rs.rank, self._gens(L))]
-
-    def min_coset_reps(self, L: Iterable[int]) -> List[WeylElement]:
-        """Minimal-length representatives W^L, in enumeration order."""
-        gens = self._gens(L)
-        return [w for w in self.elements if all(w.x[i] > 0 for i in gens)]
+        gens = simple_indices(rs.rank, L)
+        return [WeylElement(rs, x, n) for x, n in _orbit(rs.bonds, (1,) * rs.rank, gens).items()]
 
 
-def simple_mask(rank: int, indices: Iterable[int]) -> int:
-    """Bit mask of 1-based simple indices (bit i for index i+1) of a rank-n
-    system; IndexError for an index outside 1..n."""
-    mask = 0
+def simple_indices(rank: int, indices: Iterable[int]) -> Tuple[int, ...]:
+    """The distinct 0-based indices, ascending, of 1-based simple indices of
+    a rank-n system; IndexError for an index outside 1..n."""
+    out = set()
     for i in indices:
         if not 1 <= i <= rank:
             raise IndexError(f"simple index {i} out of range")
-        mask |= 1 << (i - 1)
-    return mask
+        out.add(i - 1)
+    return tuple(sorted(out))
 
 
 def weyl_group(system: RootSystem, cap: Optional[int] = None) -> WeylGroup:
-    """The full enumeration for a root system, built once and kept on it.
+    """The Weyl group of a root system, made once and kept on it; it is
+    enumerated only when its elements or lengths are read.
 
     With a cap, raises CapExceededError whenever |W|, the product of the
-    degrees, is larger than the cap, also when the group was built before.
-    Without one, a new enumeration uses WeylGroup.DEFAULT_CAP. Either check
-    runs before anything is enumerated.
+    degrees, is larger than the cap, also when the group was made before.
+    Without one, a new group is checked against WeylGroup.DEFAULT_CAP.
     """
     if cap is not None and math.prod(degrees(system.family, system.rank)) > cap:
         raise CapExceededError(cap)

@@ -81,7 +81,7 @@ def cases():
     for n in range(1, 7):
         for r in range(n // 2 + 1):
             out.append((f"orbits-n{n}-r{r}.text", ["orbits", "--n", str(n), "--r", str(r)]))
-    for n, r in ((7, 2), (7, 3), (8, 2), (8, 4)):
+    for n, r in ((7, 2), (7, 3), (8, 2), (8, 4), (9, 2)):
         out.append((f"orbits-n{n}-r{r}.text", ["orbits", "--n", str(n), "--r", str(r)]))
     for rank in (7, 8):
         out.append((f"cascade-E{rank}.text", ["cascade", "--type", "E", "--rank", str(rank)]))

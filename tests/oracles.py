@@ -19,8 +19,8 @@ from weylorbits.nilpotent import (
     _subdiagram_type,
 )
 from weylorbits.quotient import IJKDatum, QuotientElement
-from weylorbits.roots import Coords, Coweight, RootSystem, degrees
-from weylorbits.weyl import WeylElement, from_word, identity, reflection
+from weylorbits.roots import Coords, Coweight, RootSystem, cartan_matrix, degrees, symmetrizer
+from weylorbits.weyl import WeylElement, WeylGroup, from_word, identity, reflection, simple_indices
 
 # every supported (family, rank) of rank at most 8
 ALL_SYSTEMS = (
@@ -123,6 +123,43 @@ def covers_naive(
         for j in below
         if not any(k != j and leq[j][k] and leq[k][i] for k in below)
     ]
+
+
+# -- the quotient through the enumerated group -------------------------------
+
+
+def min_coset_reps(group: WeylGroup, L: Sequence[int]) -> List[WeylElement]:
+    """Minimal-length representatives W^L, in enumeration order: the elements
+    with no right descent in L (IndexError for an index outside 1..rank)."""
+    gens = simple_indices(group.system.rank, L)
+    return [w for w in group.elements if all(w.x[i] > 0 for i in gens)]
+
+
+def quotient_elements_by_group(datum: IJKDatum) -> List[WeylElement]:
+    """W^{J u K} filtered from the whole group, by (length, reduced word)."""
+    lengths = datum.group.lengths
+    reps = min_coset_reps(datum.group, datum.J + datum.K)
+    return sorted(reps, key=lambda w: (lengths[w.x], w.reduced_word()))
+
+
+def covers_O_below_by_group(w: QuotientElement) -> List[WeylElement]:
+    """The representatives covered by w: the Bruhat covers of w.rep in the
+    whole group that are as short as the representative of their coset."""
+    datum, group = w.datum, w.datum.group
+    out: List[WeylElement] = []
+    for u in group.bruhat_covers_below(w.rep):
+        rep = datum.canonical_rep(u).rep
+        if group.lengths[rep.x] == group.lengths[u.x] and rep not in out:
+            out.append(rep)
+    return out
+
+
+def min_set_by_group(w: QuotientElement) -> List[WeylElement]:
+    """Min(w) = {w x x* : x in W_I} at the length of w, with the lengths
+    of the whole group, in the order of W_I."""
+    datum, lengths = w.datum, w.datum.group.lengths
+    products = (w.rep * x * datum.star_extend(x) for x in datum.w_i_elements())
+    return [u for u in products if lengths[u.x] == lengths[w.rep.x]]
 
 
 def p_stat(d: OrientedLinkPattern, k: int) -> int:
@@ -342,6 +379,26 @@ def _reflect_simple(v: Coords, i: int, c: int) -> Coords:
     out = list(v)
     out[i] -= c
     return tuple(out)
+
+
+def all_roots_closure(family: str, rank: int) -> Dict[Coords, int]:
+    """Every root with its norm: the closure of the simple roots, negative
+    roots included, under s_i(v) = v - (A v)_i alpha_i with (A v)_i summed
+    over the whole Cartan row; a root keeps the norm 2 d_i of the simple
+    root it came from."""
+    cartan, symm = cartan_matrix(family, rank), symmetrizer(family, rank)
+    norms = {tuple(int(j == i) for j in range(rank)): 2 * d for i, d in enumerate(symm)}
+    frontier = list(norms)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(rank):
+                w = _reflect_simple(v, i, sum(map(mul, cartan[i], v)))
+                if w not in norms:
+                    norms[w] = norms[v]
+                    new.append(w)
+        frontier = new
+    return norms
 
 
 class CanonicalForm:

@@ -82,6 +82,56 @@ def test_classify_and_cascade_goldens_under_python_O():
     )
 
 
+# Replays the named cases in one interpreter; after each, finds the Weyl
+# groups alive and whether any has its lengths or elements computed. Prints
+# the number of cases, the names whose output differs, the names after which
+# a group was enumerated, and the systems of the groups alive at the end.
+ENUMERATION_CHILD = """
+import gc, io, json, os, sys
+from weylorbits.cli import main
+from weylorbits.weyl import WeylGroup
+golden, names = sys.argv[1], set(sys.argv[2:])
+with open(os.path.join(golden, "manifest.json"), encoding="utf-8") as fh:
+    cases = [c for c in json.load(fh) if c["name"] in names]
+bad, enumerated = [], []
+for case in cases:
+    sys.stdout = io.StringIO()
+    code = main(case["argv"])
+    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+    with open(os.path.join(golden, case["name"]), "rb") as fh:
+        if code != case["exit"] or out.encode("utf-8") != fh.read():
+            bad.append(case["name"])
+    groups = [g for g in gc.get_objects() if isinstance(g, WeylGroup)]
+    if any("lengths" in vars(g) or "elements" in vars(g) for g in groups):
+        enumerated.append(case["name"])
+print(repr((len(cases), bad, enumerated, sorted((g.system.family, g.system.rank) for g in groups))))
+"""
+
+
+def test_poset_compare_and_orbits_goldens_enumerate_no_group():
+    # each of these commands works on the quotient's keys alone: the cap
+    # makes each system's group, and none of them is ever enumerated
+    names = [c["name"] for c in MANIFEST if c["argv"][0] in ("poset", "compare", "orbits")]
+    env = {k: v for k, v in os.environ.items() if k != "WEYLORBITS_CAP"}
+    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", ENUMERATION_CHILD, GOLDEN, *names], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, bad, enumerated, systems = ast.literal_eval(proc.stdout.strip())
+    assert (count, bad, enumerated) == (len(names), [], [])
+    # one group per system, made by the cap; orbits with r = 0 makes none
+    expected = set()
+    for case in MANIFEST:
+        argv = case["argv"]
+        if argv[0] in ("poset", "compare"):
+            expected.add((argv[argv.index("--type") + 1], int(argv[argv.index("--rank") + 1])))
+        elif argv[0] == "orbits" and argv[argv.index("--r") + 1] != "0":
+            expected.add(("A", int(argv[argv.index("--n") + 1]) - 1))
+    assert systems == sorted(expected)
+
+
 # The classify goldens of D4, B3, C3, B2 and G2, and the orthogonal sets of
 # A3: their systems share the theta norm 2 (every root of A3 and D4, the
 # short roots of the others) but have long norms 2, 4 and 6.

@@ -1,30 +1,37 @@
 import json
 import math
 import os
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylorbits.linkpatterns import type_a_datum
 from weylorbits.quotient import (
     IJKDatum,
     QuotientElement,
     build_poset,
+    check_datum,
     covers_O_below,
     leq_O,
     min_set,
 )
 from weylorbits.cli import _build_datum, build_parser
-from weylorbits.roots import build_root_system, degrees
+from weylorbits.roots import build_root_system, cartan_entries, degrees
 from weylorbits.weyl import from_word, identity, parabolic_decompose, weyl_group
 
 from oracles import (
+    ALL_SYSTEMS,
     action_matrix,
     canonical_rep_by_scan,
+    covers_O_below_by_group,
     covers_naive,
     leq_O_full_coset,
+    min_set_by_group,
     parabolic_degrees,
+    quotient_elements_by_group,
     quotient_rank_profile,
 )
 
@@ -390,3 +397,54 @@ def test_rank_profile_from_degrees(argv, monkeypatch):
     order = math.prod(degrees(rs.family, rs.rank))
     assert len(poset.nodes) == order // math.prod(parabolic_degrees(rs, jk))
     assert poset.rank_profile() == quotient_rank_profile(rs, jk)
+
+
+def _random_data(count, seed):
+    """Seeded random data (family, rank, I, J, K, star) on the systems with
+    |W| <= 51840, drawn until check_datum accepts them."""
+    rng = random.Random(seed)
+    systems = [s for s in ALL_SYSTEMS if math.prod(degrees(*s)) <= 51840]
+    out = []
+    while len(out) < count:
+        family, rank = rng.choice(systems)
+        idx = rng.sample(range(1, rank + 1), rank)
+        k = rng.randint(0, rank // 2)
+        I, J = idx[:k], idx[k : 2 * k]
+        K = [i for i in idx[2 * k :] if rng.random() < 0.4]
+        try:
+            parts = check_datum(rank, cartan_entries(family, rank), I, J, K, dict(zip(I, J)))
+        except ValueError:
+            continue
+        out.append((family, rank, *parts))
+    return out
+
+
+# the acceptance data (criterion 4, and the type-A data of criteria 3, 6
+# and 11), the two largest posets, and random data
+KEY_PATH_DATA = (
+    [pytest.param(f, r, I, J, K, None, id=f"{f}{r}-I{I}-J{J}-K{K}") for f, r, I, J, K in QUOTIENT_DATA[:4]]
+    + [pytest.param("A", n - 1, n, r, None, "type-A", id=f"type-A-n{n}-r{r}") for n in range(2, 8) for r in range(1, n // 2 + 1)]
+    + [
+        pytest.param("E", 6, (1,), (6,), (2, 4), None, id="E6-I1-J6-K24"),
+        pytest.param("A", 7, (1, 2), (6, 7), (4,), None, id="A7-I12-J67-K4"),
+    ]
+    + [pytest.param(*d, id=f"random-{i}-{d[0]}{d[1]}") for i, d in enumerate(_random_data(50, 19))]
+)
+
+
+@pytest.mark.parametrize("family,rank,I,J,K,star", KEY_PATH_DATA)
+def test_key_path_matches_the_whole_group(family, rank, I, J, K, star):
+    # the quotient, its covers and its Min sets, enumerated on keys, against
+    # the same read from the enumerated group
+    datum = type_a_datum(I, J) if star == "type-A" else IJKDatum(build_root_system(family, rank), I, J, K, star)
+    lengths = datum.group.lengths
+    nodes = datum.quotient_elements()
+    reps = quotient_elements_by_group(datum)
+    assert [n.rep.x for n in nodes] == [w.x for w in reps]
+    assert [n.length() for n in nodes] == [lengths[w.x] for w in reps]
+    assert [n.rep.reduced_word() for n in nodes] == [w.reduced_word() for w in reps]
+    for node in nodes:
+        assert [c.rep for c in covers_O_below(node)] == covers_O_below_by_group(node)
+        mins = min_set(node)
+        assert mins == min_set_by_group(node)
+        assert [u.length() for u in mins] == [lengths[u.x] for u in mins]

@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 import pytest
 
@@ -17,6 +16,7 @@ from weylorbits.roots import (
 from oracles import (
     ALL_SYSTEMS,
     SYSTEMS_TO_12,
+    all_roots_closure,
     coweight_from_coroot_basis,
     coweight_to_coroot_basis,
     gram_coroot,
@@ -24,7 +24,6 @@ from oracles import (
     gram_pairing,
     gram_reflect,
     highest_root,
-    _reflect_simple,
     positive_definite,
     projection_span_membership,
 )
@@ -36,27 +35,15 @@ def test_classical_counts(family, rank):
     assert 2 * len(rs.positive_roots) == len(rs.roots)
 
 
-@pytest.mark.parametrize("family,rank", SYSTEMS_TO_12)
+@pytest.mark.parametrize("family,rank", [*SYSTEMS_TO_12, ("A", 30), ("D", 20)])
 def test_roots_match_a_full_row_closure(family, rank):
-    # the closure of the simple roots under s_i(v) = v - (A v)_i alpha_i, with
-    # (A v)_i summed over the whole Cartan row; a root keeps the norm 2 d_i of
-    # the simple root it came from
-    cartan, symm = cartan_matrix(family, rank), symmetrizer(family, rank)
-    norms = {tuple(int(j == i) for j in range(rank)): 2 * d for i, d in enumerate(symm)}
-    frontier = list(norms)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(rank):
-                w = _reflect_simple(v, i, sum(map(mul, cartan[i], v)))
-                if w not in norms:
-                    norms[w] = norms[v]
-                    new.append(w)
-        frontier = new
-    norms.update({tuple(-x for x in v): m for v, m in list(norms.items())})
+    # the closure over every root, negative ones included, against the
+    # closure over the positive roots
+    norms = all_roots_closure(family, rank)
     rs = RootSystem(family, rank)
     assert rs.norms == norms
     assert rs.roots == tuple(sorted(norms))
+    assert rs.positive_roots == tuple(r for r in sorted(norms) if all(c >= 0 for c in r))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("D", 2), ("E", 5), ("F", 3), ("G", 3)])
