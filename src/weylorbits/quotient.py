@@ -13,17 +13,19 @@ W^{J u K} is enumerated as an orbit on its own, so W is never enumerated.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .roots import Coords, RootSystem, coweight_reflect, strip_descents
 from .weyl import (
     WeylElement,
     WeylGroup,
+    _known,
     _orbit,
     bruhat_leq_keys,
     check_system,
     from_word,
+    parabolic_elements,
+    shorter_reflections,
     simple_indices,
     weyl_group,
 )
@@ -99,8 +101,8 @@ class IJKDatum:
         self.L = tuple(sorted(self.I + self.J + self.K))
         self._jk = self.J + self.K
         self._l_idx = simple_indices(system.rank, self.L)
-        self._own: Dict[Coords, WeylElement] = {}
-        self._w_i = self._subgroup(self.I)
+        self._w_i = parabolic_elements(system, self.I)
+        self._own: Dict[Coords, WeylElement] = {w.x: w for w in self._w_i}
         self._unstar = {v: k for k, v in self.star_map.items()}
         self._min_cache: Dict[Coords, List[WeylElement]] = {}
 
@@ -113,23 +115,11 @@ class IJKDatum:
     def _element(
         self, x: Coords, length: Optional[int] = None, word: Optional[Tuple[int, ...]] = None
     ) -> WeylElement:
-        """The datum's own element with key x."""
+        """The datum's own element with key x (see weyl._known)."""
         w = self._own.get(x)
         if w is None:
-            w = self._own[x] = WeylElement(self.system, x, length, word)
+            w = self._own[x] = _known(self.system, x, length, word)
         return w
-
-    def _subgroup(self, S: Tuple[int, ...]) -> List[WeylElement]:
-        """W_S breadth-first by length."""
-        rs = self.system
-        orbit = _orbit(rs.bonds, (1,) * rs.rank, [i - 1 for i in S])
-        return [self._element(x, n) for x, n in orbit.items()]
-
-    @cached_property
-    def _coroots(self) -> List[Tuple[Coords, Coords]]:
-        """The pairs (beta, beta^vee) over the positive roots."""
-        rs = self.system
-        return [(beta, rs.coroot(beta).coords) for beta in rs.positive_roots]
 
     # -- star and cosets ----------------------------------------------------
 
@@ -142,13 +132,10 @@ class IJKDatum:
             raise ValueError("element is not in W_I")
         return self._element(from_word(self.system, [self.star_map[i] for i in word]).x, len(word))
 
-    def w_i_elements(self) -> List[WeylElement]:
-        return list(self._w_i)
-
     def coset(self, w: WeylElement) -> List[WeylElement]:
         """[w] = {w a x x* : a in W_K, x in W_I}; size |W_K| * |W_I|."""
         check_system(self.system, w)
-        w_k = self._subgroup(self.K)
+        w_k = parabolic_elements(self.system, self.K)
         diag = [x.mul(self.star_extend(x)) for x in self._w_i]
         out = []
         seen = set()
@@ -196,7 +183,7 @@ class IJKDatum:
             word = tuple(strip_descents(rs.bonds, mu)[0])
             nodes.append((len(word), word))
         nodes.sort()
-        return [QuotientElement(self, self._element(from_word(rs, w).x, word=w)) for _, w in nodes]
+        return [QuotientElement(self, self._element(from_word(rs, w).x, n, w)) for n, w in nodes]
 
     def quotient_elements(self) -> List["QuotientElement"]:
         """All of W(I,J,K) = W^{J u K}, by (length, reduced word)."""
@@ -281,22 +268,20 @@ def leq_O(wp: QuotientElement, w: QuotientElement) -> bool:
 def covers_O_below(w: QuotientElement) -> List[QuotientElement]:
     """All w' covered by w: the Bruhat covers u below w that lie in some
     Min set. The candidates are the u = w s_beta shorter than w (beta > 0,
-    <beta, x> < 0, key s_beta(x) = x - <beta, x> beta^vee). Since
-    l(rep(u)) <= l(u) < l(w), u is such a cover exactly when the member
-    rep(u) of W(I,J,K) in its coset has length l(w) - 1."""
+    see shorter_reflections). Since l(rep(u)) <= l(u) < l(w), u is such a
+    cover exactly when the member rep(u) of W(I,J,K) in its coset has
+    length l(w) - 1."""
     datum = w.datum
     x, target = w.rep.x, w.length() - 1
     out = []
     seen = set()
-    for beta, coroot in datum._coroots:
-        c = sum(map(mul, beta, x))
-        if c < 0:
-            r = datum._rep_key(tuple(xi - c * h for xi, h in zip(x, coroot)))
-            if r not in seen:
-                seen.add(r)
-                rep = datum._element(r)
-                if rep.length() == target:
-                    out.append(QuotientElement(datum, rep))
+    for u in shorter_reflections(datum.system, x):
+        r = datum._rep_key(u)
+        if r not in seen:
+            seen.add(r)
+            rep = datum._element(r)
+            if rep.length() == target:
+                out.append(QuotientElement(datum, rep))
     return out
 
 

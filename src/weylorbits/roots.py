@@ -297,6 +297,12 @@ class RootSystem:
                 self._coroots[b] = h
         return h
 
+    @cached_property
+    def positive_coroots(self) -> List[Tuple[Coords, Coords]]:
+        """The pairs (beta, beta^vee) over the positive roots, the coroot as
+        its values on the simple roots."""
+        return [(beta, self.coroot(beta).coords) for beta in self.positive_roots]
+
     def coweight_value(self, h: Coweight, v: Coords) -> int:
         """Value of h on a root-lattice element v."""
         return sum(c * x for c, x in zip(h.coords, v))

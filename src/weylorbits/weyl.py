@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .roots import Bonds, Coords, RootSystem, coweight_reflect, degrees, strip_descents
 
@@ -36,24 +37,17 @@ class CapExceededError(RuntimeError):
 
 
 class WeylElement:
-    """A Weyl group element w, keyed by x = w^{-1}(rho^vee). A caller that
-    knows the length or the lex-least reduced word may pass it; otherwise
-    each is computed once, on first use."""
+    """A Weyl group element w, keyed by x = w^{-1}(rho^vee). Its length and
+    reduced word are computed once, on first use."""
 
     __slots__ = ("system", "x", "_hash", "_word", "_length")
 
-    def __init__(
-        self,
-        system: RootSystem,
-        x: Coords,
-        length: Optional[int] = None,
-        word: Optional[Tuple[int, ...]] = None,
-    ):
+    def __init__(self, system: RootSystem, x: Coords):
         self.system = system
         self.x = x
         self._hash = hash(x)
-        self._word = word
-        self._length = len(word) if word is not None else length
+        self._word: Optional[Tuple[int, ...]] = None
+        self._length: Optional[int] = None
 
     def __eq__(self, other: object) -> bool:
         # a key's length is the rank, but A3 and C3 share keys such as s3's
@@ -185,6 +179,34 @@ def check_system(system: RootSystem, w: WeylElement) -> None:
         raise ValueError("element of another root system")
 
 
+def _known(
+    system: RootSystem, x: Coords, length: Optional[int], word: Optional[Tuple[int, ...]] = None
+) -> WeylElement:
+    """The element with key x, of a length known from an orbit's depth and
+    with its lex-least reduced word, if known; each is computed on first use
+    otherwise."""
+    w = WeylElement(system, x)
+    w._length, w._word = length, word
+    return w
+
+
+def parabolic_elements(system: RootSystem, L: Iterable[int]) -> List[WeylElement]:
+    """All elements of the standard parabolic W_L, breadth-first by length."""
+    gens = simple_indices(system.rank, L)
+    orbit = _orbit(system.bonds, (1,) * system.rank, gens)
+    return [_known(system, x, n) for x, n in orbit.items()]
+
+
+def shorter_reflections(system: RootSystem, x: Coords) -> Iterator[Coords]:
+    """Keys of the w s_beta (beta > 0) shorter than the element w with key x:
+    the key of w s_beta is s_beta(x) = x - <beta, x> beta^vee, and
+    l(w s_beta) < l(w) iff <beta, x> < 0."""
+    for beta, coroot in system.positive_coroots:
+        c = sum(map(mul, beta, x))
+        if c < 0:
+            yield tuple(xi - c * h for xi, h in zip(x, coroot))
+
+
 def _orbit(bonds: Bonds, start: Coords, gens: Iterable[int]) -> Dict[Coords, int]:
     """The orbit of a dominant coweight under W_gens (0-based generators),
     breadth-first, each point v(start) with the length of the shortest such v.
@@ -234,8 +256,7 @@ class WeylGroup:
     Construction checks |W|, the product of the degrees, against the cap and
     enumerates nothing. `lengths` maps each key to the length of its element
     and `elements` lists the group breadth-first by length; both are built on
-    first use. `element(x)` returns the group's own element for a key, which
-    computes its reduced word once. Bruhat order needs no enumeration.
+    first use. Bruhat order needs no enumeration.
     """
 
     DEFAULT_CAP = 1_000_000
@@ -260,15 +281,7 @@ class WeylGroup:
 
     @cached_property
     def elements(self) -> List[WeylElement]:
-        return [WeylElement(self.system, x, length) for x, length in self.lengths.items()]
-
-    @cached_property
-    def _own(self) -> Dict[Coords, WeylElement]:
-        return {w.x: w for w in self.elements}
-
-    def element(self, x: Coords) -> WeylElement:
-        """The group's own element with key x."""
-        return self._own[x]
+        return [_known(self.system, x, n) for x, n in self.lengths.items()]
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """Strong Bruhat order via the lifting property (Bjorner-Brenti 2.2),
@@ -278,26 +291,15 @@ class WeylGroup:
         return bruhat_leq_keys(self.system.bonds, u.x, u.length(), w.x, w.length())
 
     def bruhat_covers_below(self, w: WeylElement) -> List[WeylElement]:
-        """All u covered by w: the u = w s_beta (beta > 0) one shorter than w.
-        The key of w s_beta is s_beta(x) = x - <beta, x> beta^vee, and
-        l(w s_beta) < l(w) iff <beta, x> < 0."""
+        """All u covered by w: the u = w s_beta (beta > 0) one shorter than w."""
         check_system(self.system, w)
-        rs, x = self.system, w.x
-        target = self.lengths[x] - 1
-        out = []
-        for beta in rs.positive_roots:
-            c = sum(b * xi for b, xi in zip(beta, x))
-            if c < 0:
-                u = tuple(xi - c * h for xi, h in zip(x, rs.coroot(beta).coords))
-                if self.lengths[u] == target:
-                    out.append(self._own[u])
-        return out
+        target = self.lengths[w.x] - 1
+        keys = shorter_reflections(self.system, w.x)
+        return [_known(self.system, u, target) for u in keys if self.lengths[u] == target]
 
     def subgroup_elements(self, L: Iterable[int]) -> List[WeylElement]:
         """All elements of the standard parabolic W_L, breadth-first by length."""
-        rs = self.system
-        gens = simple_indices(rs.rank, L)
-        return [WeylElement(rs, x, n) for x, n in _orbit(rs.bonds, (1,) * rs.rank, gens).items()]
+        return parabolic_elements(self.system, L)
 
 
 def simple_indices(rank: int, indices: Iterable[int]) -> Tuple[int, ...]:

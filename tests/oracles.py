@@ -20,7 +20,15 @@ from weylorbits.nilpotent import (
 )
 from weylorbits.quotient import IJKDatum, QuotientElement
 from weylorbits.roots import Coords, Coweight, RootSystem, cartan_matrix, degrees, symmetrizer
-from weylorbits.weyl import WeylElement, WeylGroup, from_word, identity, reflection, simple_indices
+from weylorbits.weyl import (
+    WeylElement,
+    WeylGroup,
+    from_word,
+    identity,
+    parabolic_elements,
+    reflection,
+    simple_indices,
+)
 
 # every supported (family, rank) of rank at most 8
 ALL_SYSTEMS = (
@@ -158,7 +166,8 @@ def min_set_by_group(w: QuotientElement) -> List[WeylElement]:
     """Min(w) = {w x x* : x in W_I} at the length of w, with the lengths
     of the whole group, in the order of W_I."""
     datum, lengths = w.datum, w.datum.group.lengths
-    products = (w.rep * x * datum.star_extend(x) for x in datum.w_i_elements())
+    w_i = parabolic_elements(datum.system, datum.I)
+    products = (w.rep * x * datum.star_extend(x) for x in w_i)
     return [u for u in products if lengths[u.x] == lengths[w.rep.x]]
 
 

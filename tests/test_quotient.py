@@ -20,7 +20,7 @@ from weylorbits.quotient import (
 )
 from weylorbits.cli import _build_datum, build_parser
 from weylorbits.roots import build_root_system, cartan_entries, degrees
-from weylorbits.weyl import from_word, identity, parabolic_decompose, weyl_group
+from weylorbits.weyl import from_word, identity, parabolic_decompose, parabolic_elements, weyl_group
 
 from oracles import (
     ALL_SYSTEMS,
@@ -171,7 +171,7 @@ def test_min_set_size_counts_weak_order(datum):
         _, w2 = parabolic_decompose(node.rep, datum.L)
         below = [
             x
-            for x in datum.w_i_elements()
+            for x in parabolic_elements(datum.system, datum.I)
             if (w2 * x.inv()).length() + x.length() == w2.length()
         ]
         assert len(min_set(node)) == len(below)

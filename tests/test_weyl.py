@@ -184,10 +184,10 @@ def test_out_of_range_simple_index(a3, ga3, call):
 
 
 def test_enumeration(a3):
-    assert len(weyl_group(a3)) == 24
+    assert len(weyl_group(a3).elements) == len(weyl_group(a3)) == 24
     assert len(min_coset_reps(weyl_group(a3), [1, 3])) == 6
     f4 = build_root_system("F", 4)
-    assert len(weyl_group(f4)) == 1152
+    assert len(weyl_group(f4).elements) == len(weyl_group(f4)) == 1152
     with pytest.raises(CapExceededError):
         WeylGroup(build_root_system("A", 4), cap=10)
 
