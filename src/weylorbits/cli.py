@@ -185,6 +185,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         try:
             if n != datum.system.rank + 1:
                 raise ValueError(f"n must be rank + 1 = {datum.system.rank + 1}")
+            if lp.type_a_parts(n, r) != (datum.I, datum.J, datum.K, datum.star_map):
+                raise ValueError(f"the datum is not the type-A datum of D_{{{n},{r}}}")
             for label, node in (("lhs", wp), ("rhs", w)):
                 line = to_line_notation(node.rep)
                 lines.append(

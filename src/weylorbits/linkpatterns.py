@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
-from typing import FrozenSet, List, Sequence, Tuple
+from itertools import accumulate, chain, combinations, permutations
+from operator import le
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .roots import build_root_system
 from .quotient import IJKDatum
@@ -85,7 +86,7 @@ def perm_from_olp(d: OrientedLinkPattern) -> Tuple[int, ...]:
     used = set(sources) | set(targets)
     middle = [v for v in range(1, n + 1) if v not in used]
     w = targets + middle + sources
-    if olp_from_perm(w, r) != d:
+    if frozenset(zip(w[n - r :], w[:r])) != d.arrows:  # the arrows of d_w
         raise AssertionError("pattern does not round-trip through its permutation")
     return tuple(w)
 
@@ -108,8 +109,9 @@ def count_patterns(n: int, r: int) -> int:
 
 
 def _pattern_rows(d: OrientedLinkPattern) -> Tuple[int, ...]:
-    """The column rows of M_d (see _column_rows): column s holds its 1 in row
-    t for each arrow s -> t. Raises unless M_d squares to zero."""
+    """The row of the 1 in each column of M_d, 0 for a zero column: column s
+    holds its 1 in row t for each arrow s -> t. Raises unless M_d squares to
+    zero."""
     rows = [0] * d.n
     for s, t in d.arrows:
         rows[s - 1] = t
@@ -137,7 +139,8 @@ def q_table(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
     p_ell, the vertices <= ell that are not sources, and row k adds the arrow
     with target k, if any, to every ell from its source on."""
     source_of = {t: s for s, t in d.arrows}
-    row = list(accumulate(int(v not in source_of.values()) for v in range(1, d.n + 1)))
+    sources = set(source_of.values())
+    row = list(accumulate(int(v not in sources) for v in range(1, d.n + 1)))
     table = [tuple(row)]
     for k in range(1, d.n + 1):
         for ell in range(source_of.get(k, d.n + 1) - 1, d.n):
@@ -150,58 +153,40 @@ def leq_D(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
     """d' <=_D d iff q^d <= q^{d'} entrywise."""
     if dp.n != d.n:
         raise ValueError("patterns on different vertex sets")
-    qd, qdp = q_table(d), q_table(dp)
-    return all(
-        qd[k][ell] <= qdp[k][ell] for k in range(d.n + 1) for ell in range(d.n)
-    )
+    return _dominated(q_table(d), q_table(dp))
 
 
-def _column_rows(y: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """The row (1-based) of the 1 in each column of y, 0 for a zero column;
-    ValueError unless y is a square 0/1 matrix with at most one 1 in each row
-    and each column."""
-    n = len(y)
-    rows = [0] * n
-    for a, line in enumerate(y, 1):
-        ones = [c for c, v in enumerate(line) if v]
-        if len(line) != n or len(ones) > 1 or any(line[c] != 1 or rows[c] for c in ones):
-            raise ValueError("not a partial permutation matrix")
-        for c in ones:
-            rows[c] = a
-    return tuple(rows)
+def _dominated(low: Sequence[Sequence[int]], high: Sequence[Sequence[int]]) -> bool:
+    """low <= high entrywise, for tables of one shape, in one C-level pass."""
+    return all(map(le, chain.from_iterable(low), chain.from_iterable(high)))
 
 
-def _rank_rows(rows: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """(r(i,j,y))_{j=0..n} for i = 0..n, from the column rows of y.
-
-    Distinct columns have distinct rows, so y(V_i) + V_j is V_j plus one new
-    eps_row for each column c <= i whose 1 lies in a row > j.
-    """
-    out = [tuple(range(len(rows) + 1))]
-    for row in rows:
-        out.append(tuple(r + (j < row) for j, r in enumerate(out[-1])))
+def _truncation_rows(s: Sequence[int], first: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Rows i = 0..n of first[j] + #{x in s[:i] : x > j}, j = 0..n: row i
+    adds 1 to the entries j < s[i-1] of row i - 1 (none for x = 0), so the
+    table costs O(n^2)."""
+    row = list(first)
+    out = [tuple(row)]
+    for x in s:
+        for j in range(x):
+            row[j] += 1
+        out.append(tuple(row))
     return out
-
-
-def rank_stat(i: int, j: int, y: Sequence[Sequence[int]]) -> int:
-    """r(i,j,y) = dim(y(V_i) + V_j) for a partial permutation matrix y."""
-    if not (0 <= i <= len(y) and 0 <= j <= len(y)):
-        raise IndexError("index out of range")
-    return _rank_rows(_column_rows(y))[i][j]
 
 
 @lru_cache(maxsize=None)
 def rank_table(d: OrientedLinkPattern) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(_rank_rows(_pattern_rows(d))[1:])
+    """Rows i = 1..n of r(i,j,M_d) = dim(M_d(V_i) + V_j), j = 0..n. Distinct
+    columns of M_d have distinct rows, so M_d(V_i) + V_j is V_j plus one new
+    eps_row for each column c <= i whose 1 lies in a row > j."""
+    return tuple(_truncation_rows(_pattern_rows(d), range(d.n + 1))[1:])
 
 
 def leq_rank(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
     """d' <=_D d via the rank criterion r(i,j,.) entrywise."""
     if dp.n != d.n:
         raise ValueError("patterns on different vertex sets")
-    return all(
-        a <= b for rp, rq in zip(rank_table(dp), rank_table(d)) for a, b in zip(rp, rq)
-    )
+    return _dominated(rank_table(dp), rank_table(d))
 
 
 # -- sequences S_w ---------------------------------------------------------
@@ -236,15 +221,8 @@ def leq_seq(wp: Sequence[int], w: Sequence[int], r: int) -> bool:
     """
     if len(wp) != len(w):
         raise ValueError("permutations of different sizes")
-    n = len(w)
-    sp, s = seq_S(wp, r), seq_S(w, r)
-    for i in range(1, n + 1):
-        head_p = [x for x in sp[:i] if x]
-        head = [x for x in s[:i] if x]
-        for j in range(n + 1):
-            if sum(1 for x in head_p if x > j) > sum(1 for x in head if x > j):
-                return False
-    return True
+    zeros = [0] * (len(w) + 1)
+    return _dominated(_truncation_rows(seq_S(wp, r), zeros), _truncation_rows(seq_S(w, r), zeros))
 
 
 # -- orbit dimensions -------------------------------------------------------
@@ -270,16 +248,19 @@ def orbit_dimension(d: OrientedLinkPattern) -> int:
     return n * (n + 1) // 2 - free - pairs
 
 
+def type_a_parts(n: int, r: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Dict[int, int]]:
+    """I, J, K and the star map of the S_n datum whose quotient indexes
+    D_{n,r}; for r = 0, I = J = {} and K = {1..n-1}. Builds no datum."""
+    _check_r(n, r)
+    I = tuple(range(1, r))
+    return I, tuple(range(n - r + 1, n)), tuple(range(r + 1, n - r)), {i: n - r + i for i in I}
+
+
 def type_a_datum(n: int, r: int) -> IJKDatum:
     """The (I,J,K) datum of S_n whose quotient indexes D_{n,r}."""
     if r < 1 or 2 * r > n:
         raise ValueError("need 1 <= 2r <= n")
-    system = build_root_system("A", n - 1)
-    I = list(range(1, r))
-    J = list(range(n - r + 1, n))
-    K = list(range(r + 1, n - r))
-    star = {i: n - r + i for i in I}
-    return IJKDatum(system, I, J, K, star)
+    return IJKDatum(build_root_system("A", n - 1), *type_a_parts(n, r))
 
 
 def _inverse_line(line: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -10,8 +10,10 @@ reports the Levi + involution data attached to the set.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from bisect import bisect_left
+from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import add
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .roots import Coords, Coweight, RootSystem
@@ -24,6 +26,9 @@ CASES = ("D4", "B3", "C3", "B2long", "B2short", "G2both", "A1")
 
 class OrthogonalSet:
     """Pairwise orthogonal roots of a system; compared by identity."""
+
+    # the set this one was reduced from (reduce_b2long), whose labels it reads
+    _parent: Optional[OrthogonalSet] = None
 
     def __init__(self, system: RootSystem, thetas: Tuple[Coords, ...]):
         self.system = system
@@ -46,13 +51,30 @@ class OrthogonalSet:
 
     @cached_property
     def offenders(self) -> Tuple[CaseLabel, ...]:
-        """The roots of span_Q(thetas) other than the +-theta_i, each with its
-        coefficients and case label: one packed scan of the root system
-        (RootSystem.span_members), made on first use and kept on the set."""
+        """The roots of span_Q(thetas) other than the +-theta_i with their
+        coefficients and case labels, positive roots first, each part in root
+        order: one packed scan (RootSystem.span_members), or for a set made by
+        reduce_b2long, its parent's labels that vanish on the dropped members."""
+        parent = self._parent
+        if parent is not None:
+            keep = [parent.thetas.index(t) for t in self.thetas]
+            drop = [i for i in range(parent.r) if i not in keep]
+            return tuple(
+                CaseLabel(o.case, o.beta, tuple(o.coefficients[i] for i in keep))
+                for o in parent.offenders
+                if not any(o.coefficients[i] for i in drop)
+            )
         rs = self.system
-        pm = set(self.thetas) | {tuple(-x for x in t) for t in self.thetas}
-        members = ((rs.roots[k], p) for k, p in rs.span_members(self.thetas))
-        return tuple(_label(self, gamma, p) for gamma, p in members if gamma not in pm)
+        norms = tuple(rs.norms[t] for t in self.thetas)
+        members = rs.span_members(self.thetas)
+        split = bisect_left(members, (len(rs.positive_roots),))  # sorted roots: negatives first
+        labels = []
+        for k, p in members[split:] + members[:split]:
+            if p.count(0) < len(p) - 1:  # one nonzero projection: +-theta_i
+                beta = rs.roots[k]
+                case, coefficients = _case(p, norms, rs.long_norm, rs.norms[beta] == rs.long_norm)
+                labels.append(CaseLabel(case, beta, coefficients))
+        return tuple(labels)
 
     @cached_property
     def _characteristic(self) -> Tuple[OrthogonalSet, Coweight, Coweight]:
@@ -110,14 +132,9 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     rs = oset.system
     if rs.span_membership(oset.thetas, beta) is None:
         raise ValueError("beta is not in the span of the set")
-    return _label(oset, beta, [rs.form(beta, t) for t in oset.thetas])
-
-
-def _label(oset: OrthogonalSet, beta: Coords, proj: Sequence[int]) -> CaseLabel:
-    """The label of beta in the span from p_i = (beta, theta_i)."""
-    rs = oset.system
+    proj = tuple(rs.form(beta, t) for t in oset.thetas)
     norms = tuple(rs.norms[t] for t in oset.thetas)
-    case, coefficients = _case(tuple(proj), norms, rs.long_norm, rs.norm(beta) == rs.long_norm)
+    case, coefficients = _case(proj, norms, rs.long_norm, rs.norm(beta) == rs.long_norm)
     return CaseLabel(case, beta, coefficients)
 
 
@@ -155,14 +172,19 @@ def _case(
 
 def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
     """Keep each member, in order, that is strongly orthogonal to every member
-    kept before it: of each pair whose sum (equivalently difference) is a
-    root, the higher index is dropped."""
+    kept before it: of each pair whose sum is a root, the higher index is
+    dropped (s_b(a + b) = a - b for orthogonal a, b, so one probe decides).
+    The reduced set reads its labels off this one (OrthogonalSet.offenders)."""
     rs = oset.system
     kept: List[Coords] = []
     for t in oset.thetas:
-        if all(is_strongly_orthogonal(rs, t, k) for k in kept):
+        if all(tuple(map(add, t, k)) not in rs.root_set for k in kept):
             kept.append(t)
-    return oset if len(kept) == oset.r else OrthogonalSet(rs, tuple(kept))
+    if len(kept) == oset.r:
+        return oset
+    reduced = OrthogonalSet(rs, tuple(kept))
+    reduced._parent = oset
+    return reduced
 
 
 def height_of_sum(oset: OrthogonalSet) -> int:
@@ -297,16 +319,6 @@ def chain_cascade(system: RootSystem, max_depth: Optional[int] = None) -> Cascad
     return grow((), Coweight((0,) * system.rank), list(range(system.rank)), 0)
 
 
-def cascade_chains(root: CascadeNode) -> List[Tuple[Coords, ...]]:
-    """All maximal chains of the cascade tree."""
-    if not root.children:
-        return [root.chain]
-    out = []
-    for child in root.children:
-        out.extend(cascade_chains(child))
-    return out
-
-
 # -- weighted Dynkin diagrams and involutions ---------------------------------
 
 
@@ -374,11 +386,19 @@ def _subdiagram_type(system: RootSystem, indices: Sequence[int]) -> str:
 
 def levi_and_involution(oset: OrthogonalSet) -> InvolutionReport:
     """Levi simple roots (h = 0 wall), the action of s_{theta_1}...s_{theta_r}
-    on them, and the folded type after identifying negated-swapped components."""
+    on them, and the folded type after identifying negated-swapped components.
+    The thetas are orthogonal, so the product sends alpha_i to alpha_i - sum_j
+    <alpha_i, theta_j^vee> theta_j, read off the kept coroots theta_j^vee."""
     rs = oset.system
-    levi = tuple(i for i, c in enumerate(oset.coroot_sum().coords, 1) if c == 0)
-    # the thetas are orthogonal, so their reflections commute
-    action = {i: reduce(rs.reflect, oset.thetas, rs.simple_root(i)) for i in levi}
+    columns = [rs.coroot(t).coords for t in oset.thetas]
+    levi = tuple(i for i, c in enumerate(map(sum, zip((0,) * rs.rank, *columns)), 1) if c == 0)
+    action = {}
+    for i in levi:
+        image = rs.simple_root(i)
+        for t, col in zip(oset.thetas, columns):
+            if col[i - 1]:
+                image = tuple(x - col[i - 1] * y for x, y in zip(image, t))
+        action[i] = image
     fixed = []
     swaps = []
     other = []
@@ -452,18 +472,15 @@ class ClassificationReport(NamedTuple):
 def classify(oset: OrthogonalSet) -> ClassificationReport:
     """Full report for an orthogonal set."""
     rat, _ = is_rationally_orthogonal(oset)
-    cases = []
-    seen = set()
-    for label in sorted(oset.offenders, key=lambda o: not oset.system.is_positive(o.beta)):
-        if label.case not in seen:
-            seen.add(label.case)
-            cases.append(label)
+    first: Dict[str, CaseLabel] = {}
+    for label in oset.offenders:  # positive roots first
+        first.setdefault(label.case, label)
     verdict = is_spherical(oset)
     reduced, h, h_dom = oset._characteristic
     return ClassificationReport(
         oset=oset,
         rationally_orthogonal=rat,
-        cases=cases,
+        cases=list(first.values()),
         reduced_set=reduced,
         h=h,
         h_dominant=h_dom,

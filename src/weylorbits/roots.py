@@ -354,13 +354,12 @@ class RootSystem:
         norms = [self.norms[t] for t in thetas]
         lcm = math.lcm(*norms)
         d = lcm * norms_packed - sum(lcm // n * sq for (_, sq), n in zip(cols, norms))
-        mask, out = high & ~(d + low), []  # the high bit of each zero byte
+        mask, ks = high & ~(d + low), []  # the high bit of each zero byte
         while mask:
             bit = mask & -mask
-            k = bit.bit_length() // 8 - 1
-            out.append((k, tuple(col[k] for col, _ in cols)))
+            ks.append(bit.bit_length() // 8 - 1)
             mask ^= bit
-        return out
+        return list(zip(ks, zip(*[tuple(map(proj.__getitem__, ks)) for proj, _ in cols])))
 
     def _column(self, theta: Coords) -> Tuple[Tuple[int, ...], int]:
         """(gamma, theta) over the roots gamma and their squares packed one byte each."""

@@ -5,11 +5,19 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from operator import add, mul
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from weylorbits.linkpatterns import OrientedLinkPattern, matrix_from_olp
+from weylorbits.linkpatterns import (
+    OrientedLinkPattern,
+    _truncation_rows,
+    matrix_from_olp,
+    q_table,
+    rank_table,
+    seq_S,
+)
 from weylorbits.nilpotent import (
     CascadeNode,
     CaseLabel,
@@ -194,6 +202,30 @@ def q_stat_linear_algebra(d: OrientedLinkPattern, k: int, ell: int) -> int:
     ker_dim = sum(1 for v in range(1, ell + 1) if v not in sources)
     img_dim = sum(1 for s, t in d.arrows if s <= ell and t <= k)
     return ker_dim + img_dim
+
+
+def _column_rows(y: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The row (1-based) of the 1 in each column of y, 0 for a zero column;
+    ValueError unless y is a square 0/1 matrix with at most one 1 in each row
+    and each column."""
+    n = len(y)
+    rows = [0] * n
+    for a, line in enumerate(y, 1):
+        ones = [c for c, v in enumerate(line) if v]
+        if len(line) != n or len(ones) > 1 or any(line[c] != 1 or rows[c] for c in ones):
+            raise ValueError("not a partial permutation matrix")
+        for c in ones:
+            rows[c] = a
+    return tuple(rows)
+
+
+def rank_stat(i: int, j: int, y: Sequence[Sequence[int]]) -> int:
+    """r(i,j,y) = dim(y(V_i) + V_j) for a partial permutation matrix y:
+    y(V_i) + V_j is V_j plus one new eps_row for each column c <= i whose 1
+    lies in a row > j, counted by the truncation rows of the column rows."""
+    if not (0 <= i <= len(y) and 0 <= j <= len(y)):
+        raise IndexError("index out of range")
+    return _truncation_rows(_column_rows(y), range(len(y) + 1))[i][j]
 
 
 def stabilizer_dimension(partition: Sequence[int]) -> int:
@@ -655,6 +687,16 @@ def highest_root(roots: Collection[Coords]) -> Coords:
     return best[0]
 
 
+def cascade_chains(root: CascadeNode) -> List[Tuple[Coords, ...]]:
+    """All maximal chains of the cascade tree."""
+    if not root.children:
+        return [root.chain]
+    out = []
+    for child in root.children:
+        out.extend(cascade_chains(child))
+    return out
+
+
 def chain_cascade_by_pool(system: RootSystem, max_depth: Optional[int] = None) -> CascadeNode:
     """The cascade tree grown on sets of roots: the components of the pool
     under (a, b) != 0, each ordered by its smallest root, branch through
@@ -674,3 +716,41 @@ def chain_cascade_by_pool(system: RootSystem, max_depth: Optional[int] = None) -
         return node
 
     return grow((), list(system.roots), 0)
+
+
+# -- the retired routes of the Levi report and the pattern orders ----------------
+
+
+def levi_action_by_reflections(oset: OrthogonalSet) -> Tuple[Tuple[int, ...], Dict[int, Coords]]:
+    """The Levi simple roots (the zeros of the coroot sum) and the image of
+    each under s_{theta_1} ... s_{theta_r}, applied one reflection at a time."""
+    rs = oset.system
+    levi = tuple(i for i, c in enumerate(oset.coroot_sum().coords, 1) if c == 0)
+    return levi, {i: reduce(rs.reflect, oset.thetas, rs.simple_root(i)) for i in levi}
+
+
+def leq_D_pairwise(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
+    """q^d <= q^{d'}, one indexed comparison per entry."""
+    qd, qdp = q_table(d), q_table(dp)
+    return all(qd[k][ell] <= qdp[k][ell] for k in range(d.n + 1) for ell in range(d.n))
+
+
+def leq_rank_pairwise(dp: OrientedLinkPattern, d: OrientedLinkPattern) -> bool:
+    """r(i,j,d') <= r(i,j,d) for every entry, one pair of rows at a time."""
+    return all(
+        a <= b for rp, rq in zip(rank_table(dp), rank_table(d)) for a, b in zip(rp, rq)
+    )
+
+
+def leq_seq_pairwise(wp: Sequence[int], w: Sequence[int], r: int) -> bool:
+    """The truncation criterion with every count taken afresh:
+    #{x in S_{w'}[:i] : x > j} <= #{x in S_w[:i] : x > j} for all i, j."""
+    n = len(w)
+    sp, s = seq_S(wp, r), seq_S(w, r)
+    for i in range(1, n + 1):
+        head_p = [x for x in sp[:i] if x]
+        head = [x for x in s[:i] if x]
+        for j in range(n + 1):
+            if sum(1 for x in head_p if x > j) > sum(1 for x in head if x > j):
+                return False
+    return True

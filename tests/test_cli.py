@@ -278,6 +278,42 @@ def test_compare_nr_n_must_match_rank(capsys):
     )
 
 
+A5_K3 = ("--type", "A", "--rank", "5", "--I", "1", "--J", "5", "--K", "3")
+A5_I12 = ("--type", "A", "--rank", "5", "--I", "1 2", "--J", "4 5")
+
+
+@pytest.mark.parametrize(
+    "datum,nr",
+    [
+        (FIG_ARGS, "4 1"),  # the r = 1 datum of S_4 is K = {2}
+        (A5_K3, "6 1"),
+        (A5_K3, "6 3"),
+        (A5_I12 + ("--star", "1:5 2:4"), "6 3"),  # the type-A star is 1:4 2:5
+        (("--type", "A", "--rank", "3", "--K", "1 2"), "4 0"),  # r = 0 needs K = {1, 2, 3}
+    ],
+)
+def test_compare_nr_needs_the_type_a_datum(capsys, datum, nr):
+    # the identity lies in every W(I,J,K), so only the datum check can refuse
+    identity = " ".join(map(str, range(1, int(nr.split()[0]) + 1)))
+    _assert_usage_error(capsys, "compare", *datum, "--perm", "--nr", nr, identity, identity)
+
+
+@pytest.mark.parametrize(
+    "datum,nr",
+    [
+        (FIG_ARGS, "4 2"),
+        (A5_K3, "6 2"),
+        (A5_I12, "6 3"),
+        (A5_I12 + ("--star", "1:4 2:5"), "6 3"),
+        (("--type", "A", "--rank", "3", "--K", "1 2 3"), "4 0"),
+    ],
+)
+def test_compare_nr_on_the_type_a_datum(capsys, datum, nr):
+    code, out, err = run(capsys, "compare", *datum, "--nr", nr, "1", "2")
+    assert code in (0, 1) and err == ""
+    assert "leq_D: " in out
+
+
 def test_compare_nr_negative_r(capsys):
     _assert_usage_error(capsys, "compare", *FIG_ARGS, "--nr", "4 -1", "1", "2")
 

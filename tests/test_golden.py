@@ -65,21 +65,36 @@ print(repr((sys.flags.optimize, len(cases), bad, bound)))
 """
 
 
-def test_classify_and_cascade_goldens_under_python_O():
-    # python -O strips assert statements: the invariants these commands rest
-    # on are explicit raises, so the outputs must not change, and the byte
-    # bound still raises
-    names = [c["name"] for c in MANIFEST if c["name"].startswith(("classify-", "cascade-"))]
+def _replay(flags, script, names):
+    """The literal the child script prints after replaying the named cases
+    in a fresh interpreter run with the given flags, without WEYLORBITS_CAP."""
     env = {k: v for k, v in os.environ.items() if k != "WEYLORBITS_CAP"}
     src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", CHILD, GOLDEN, *names], env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-c", script, GOLDEN, *names], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert ast.literal_eval(proc.stdout.strip()) == (
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def _replay_under_python_O(prefixes):
+    # python -O strips assert statements: the invariants these commands rest
+    # on are explicit raises, so the outputs must not change, and the byte
+    # bound still raises
+    names = [c["name"] for c in MANIFEST if c["name"].startswith(prefixes)]
+    assert _replay(["-O"], CHILD, names) == (
         1, len(names), [], "G2: Bessel defects do not fit in 7 bits"
     )
+
+
+def test_classify_and_cascade_goldens_under_python_O():
+    _replay_under_python_O(("classify-", "cascade-"))
+
+
+def test_orbits_and_compare_goldens_under_python_O():
+    # the orbit tables and the pattern order of compare --nr (linkpatterns)
+    _replay_under_python_O(("orbits-", "compare-"))
 
 
 # Replays the named cases in one interpreter; after each, finds the Weyl
@@ -112,14 +127,7 @@ def test_poset_compare_and_orbits_goldens_enumerate_no_group():
     # each of these commands works on the quotient's keys alone: the cap
     # makes each system's group, and none of them is ever enumerated
     names = [c["name"] for c in MANIFEST if c["argv"][0] in ("poset", "compare", "orbits")]
-    env = {k: v for k, v in os.environ.items() if k != "WEYLORBITS_CAP"}
-    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-c", ENUMERATION_CHILD, GOLDEN, *names], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    count, bad, enumerated, systems = ast.literal_eval(proc.stdout.strip())
+    count, bad, enumerated, systems = _replay([], ENUMERATION_CHILD, names)
     assert (count, bad, enumerated) == (len(names), [], [])
     # one group per system, made by the cap; orbits with r = 0 makes none
     expected = set()

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -18,7 +19,6 @@ from weylorbits.linkpatterns import (
     orbit_pair_params,
     perm_from_olp,
     q_table,
-    rank_stat,
     rank_table,
     seq_S,
     type_a_datum,
@@ -29,9 +29,13 @@ from weylorbits.weyl import to_line_notation
 from oracles import (
     centralizer_orbit_dimension,
     covers_naive,
+    leq_D_pairwise,
+    leq_rank_pairwise,
+    leq_seq_pairwise,
     p_stat,
     q_stat,
     q_stat_linear_algebra,
+    rank_stat,
     rational_rank_stat,
 )
 
@@ -182,6 +186,36 @@ def test_three_pattern_criteria_agree(n, r):
             got = leq_D(dp, d)
             assert got == leq_rank(dp, d)
             assert got == leq_seq(perm_from_olp(dp), perm_from_olp(d), r)
+
+
+def _orders_and_pairwise_loops(pairs, r):
+    """(leq_D, leq_rank, leq_seq) and the retired pairwise loops on each
+    pair of patterns, with the permutations w of d_w given alongside."""
+    for (dp, wp), (d, w) in pairs:
+        got = (leq_D(dp, d), leq_rank(dp, d), leq_seq(wp, w, r))
+        assert got == (
+            leq_D_pairwise(dp, d), leq_rank_pairwise(dp, d), leq_seq_pairwise(wp, w, r)
+        ), (dp.arrows, d.arrows)
+        yield got[0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pattern_orders_match_the_pairwise_loops(n):
+    # every pair of patterns of every D_{n,r}
+    for r in range(n // 2 + 1):
+        pats = [(d, perm_from_olp(d)) for d in all_patterns(n, r)]
+        pairs = [(a, b) for a in pats for b in pats]
+        assert sum(_orders_and_pairwise_loops(pairs, r)) >= len(pats)
+
+
+@pytest.mark.parametrize("n,r", [(7, 2), (7, 3), (8, 2), (8, 4)])
+def test_pattern_orders_match_the_pairwise_loops_seeded(n, r):
+    # 2000 seeded pairs; both outcomes occur
+    rng = random.Random(n * 10 + r)
+    pats = [(d, perm_from_olp(d)) for d in all_patterns(n, r)]
+    pairs = [(rng.choice(pats), rng.choice(pats)) for _ in range(2000)]
+    outcomes = set(_orders_and_pairwise_loops(pairs, r))
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("n,r", [(4, 2), (5, 2)])

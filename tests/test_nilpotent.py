@@ -9,7 +9,6 @@ from weylorbits.nilpotent import (
     OrthogonalSet,
     _case_supports,
     _subdiagram_type,
-    cascade_chains,
     chain_cascade,
     classify,
     classify_combination,
@@ -31,9 +30,11 @@ from weylorbits.weyl import from_word, reflection
 from oracles import (
     ALL_SYSTEMS,
     SYSTEMS_TO_12,
+    cascade_chains,
     chain_cascade_by_pool,
     involution_element,
     label_by_diagram,
+    levi_action_by_reflections,
     orthogonal_subsets,
     projection_span_membership,
     random_orthogonal_set,
@@ -503,14 +504,16 @@ def test_case_supports_match_subset_scans(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("C", 4), ("F", 4), ("D", 5), ("E", 6), ("G", 2)])
 def test_offenders_match_per_root_projection_scan(family, rank):
-    # the packed scan against one exact projection test per root
+    # the packed scan against one exact projection test per root, the
+    # positive roots first and each part in root order
     rs = build_root_system(family, rank)
+    positive_first = sorted(rs.roots, key=lambda gamma: not rs.is_positive(gamma))
     for thetas in orthogonal_subsets(rs, 4):
         oset = orthogonal_set(rs, thetas)
         pm = set(thetas) | {neg(t) for t in thetas}
         expected = [
             (gamma, coeffs)
-            for gamma in rs.roots
+            for gamma in positive_first
             if gamma not in pm
             for coeffs in [projection_span_membership(rs, thetas, gamma)]
             if coeffs is not None
@@ -536,11 +539,66 @@ def test_classify_scans_each_set_once(monkeypatch):
         calls.clear()
         classify(orthogonal_set(system, thetas))
         assert calls == [thetas], case
-    # the B2-long reduction drops a root: one more scan, of the reduced set
+    # the B2-long reduction drops a root: the reduced set reads its labels
+    # off the scan of the whole set
     b2, thetas = data[3][0], data[3][1]
     calls.clear()
     classify(orthogonal_set(b2, thetas))
-    assert calls == [thetas, thetas[:1]]
+    assert calls == [thetas]
+
+
+def _inheritance_sets():
+    """Every orthogonal set of at most four roots in B4, C4, F4 and D5, and
+    100 seeded sets each in E6 and E7."""
+    for family, rank in (("B", 4), ("C", 4), ("F", 4), ("D", 5)):
+        rs = build_root_system(family, rank)
+        yield from (orthogonal_set(rs, thetas) for thetas in orthogonal_subsets(rs, 4))
+    for rank in (6, 7):
+        rs = build_root_system("E", rank)
+        rng = random.Random(rank)
+        for size in range(1, 5):
+            for _ in range(25):
+                yield random_orthogonal_set(rs, size, rng)
+
+
+def test_reduced_set_inherits_the_labels_of_a_fresh_scan():
+    reductions = 0
+    for oset in _inheritance_sets():
+        reduced = reduce_b2long(oset)
+        fresh = orthogonal_set(oset.system, reduced.thetas)
+        assert reduced.offenders == fresh.offenders, oset.thetas
+        reductions += reduced is not oset
+    assert reductions > 100
+
+
+def test_levi_action_matches_the_reflect_chain():
+    for oset in _inheritance_sets():
+        for s in (oset, reduce_b2long(oset)):
+            report = levi_and_involution(s)
+            assert (report.levi_simple_roots, report.sigma_action) == levi_action_by_reflections(s)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4)])
+def test_classify_makes_one_scan_per_request(family, rank, monkeypatch):
+    # a classify request as the census makes it: the report and the Levi
+    # report of the reduced set, on a fresh set
+    calls = []
+    span_members = RootSystem.span_members
+
+    def counting(self, thetas):
+        calls.append(tuple(thetas))
+        return span_members(self, thetas)
+
+    monkeypatch.setattr(RootSystem, "span_members", counting)
+    rs = build_root_system(family, rank)
+    reductions = 0
+    for thetas in orthogonal_subsets(rs, 4):
+        calls.clear()
+        report = classify(orthogonal_set(rs, thetas))
+        levi_and_involution(report.reduced_set)
+        assert calls == [thetas]
+        reductions += report.reduced_set.thetas != thetas
+    assert reductions > 10
 
 
 def connected_subsets(system):

@@ -46,6 +46,17 @@ def test_roots_match_a_full_row_closure(family, rank):
     assert rs.positive_roots == tuple(r for r in sorted(norms) if all(c >= 0 for c in r))
 
 
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_negative_roots_come_first(family, rank):
+    # roots is sorted, so a split at |Phi+| parts the negative from the
+    # positive roots
+    rs = build_root_system(family, rank)
+    npos = len(rs.positive_roots)
+    assert all(min(v) < 0 and max(v) <= 0 for v in rs.roots[:npos])
+    assert all(max(v) > 0 and min(v) >= 0 for v in rs.roots[npos:])
+    assert len(rs.roots) == 2 * npos
+
+
 @pytest.mark.parametrize("family,rank", [("A", 0), ("D", 2), ("E", 5), ("F", 3), ("G", 3)])
 def test_invalid_rank(family, rank):
     with pytest.raises(InvalidRankError):
