@@ -152,11 +152,10 @@ def cmd_poset(args: argparse.Namespace) -> int:
     elif args.format == "json":
         _write(args, poset.to_json() + "\n")
     else:
+        labels = [repr(node.rep) for node in poset.nodes]  # spelled once per node
         lines = [f"{len(poset.nodes)} nodes, {len(poset.edges)} cover edges"]
-        for i, node in enumerate(poset.nodes):
-            lines.append(f"  [{i}] rank {node.length()}: {node.rep!r}")
-        for lo, hi in poset.edges:
-            lines.append(f"  {poset.nodes[lo].rep!r} < {poset.nodes[hi].rep!r}")
+        lines += [f"  [{i}] rank {n.length()}: {label}" for i, (n, label) in enumerate(zip(poset.nodes, labels))]
+        lines += [f"  {labels[lo]} < {labels[hi]}" for lo, hi in poset.edges]
         _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -10,10 +10,9 @@ reports the Levi + involution data attached to the set.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import add
+from operator import add, or_
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .roots import Coords, Coweight, RootSystem
@@ -27,7 +26,7 @@ CASES = ("D4", "B3", "C3", "B2long", "B2short", "G2both", "A1")
 class OrthogonalSet:
     """Pairwise orthogonal roots of a system; compared by identity."""
 
-    # the set this one was reduced from (reduce_b2long), whose labels it reads
+    # the set this one was reduced from (reduce_b2long), whose lanes it reads
     _parent: Optional[OrthogonalSet] = None
 
     def __init__(self, system: RootSystem, thetas: Tuple[Coords, ...]):
@@ -51,30 +50,39 @@ class OrthogonalSet:
 
     @cached_property
     def offenders(self) -> Tuple[CaseLabel, ...]:
-        """The roots of span_Q(thetas) other than the +-theta_i with their
-        coefficients and case labels, positive roots first, each part in root
-        order: one packed scan (RootSystem.span_members), or for a set made by
-        reduce_b2long, its parent's labels that vanish on the dropped members."""
-        parent = self._parent
-        if parent is not None:
-            keep = [parent.thetas.index(t) for t in self.thetas]
-            drop = [i for i in range(parent.r) if i not in keep]
-            return tuple(
-                CaseLabel(o.case, o.beta, tuple(o.coefficients[i] for i in keep))
-                for o in parent.offenders
-                if not any(o.coefficients[i] for i in drop)
-            )
+        """The roots of span_Q(thetas) other than the +-theta_i, labelled,
+        positive roots first and each part in root order; decoded on first read."""
+        return tuple(map(self._label, self.system._lanes_in_order(self._lanes[0])))
+
+    @cached_property
+    def _lanes(self) -> Tuple[int, int, int, int, int]:
+        """(offenders, support, halves, ones, longs), one byte per root gamma:
+        0x80 where gamma is an offender, then the numbers of i with p_i != 0,
+        2 |p_i| = n_i, |p_i| = n_i, and p_i != 0 with theta_i long, for
+        p_i = (gamma, theta_i), n_i = (theta_i, theta_i). No count carries: by
+        Bessel's inequality sum p_i^2 / n_i <= (gamma, gamma) <= 6 and each
+        nonzero term is at least 1/6, so at most 36 p_i are nonzero, at any
+        rank. A set made by reduce_b2long keeps its parent's counts, and the
+        parent's offenders on which the dropped members vanish."""
         rs = self.system
+        if (parent := self._parent) is not None:
+            offenders, *counts = parent._lanes
+            dropped = sum(rs._column(t)[2] for t in parent.thetas if t not in self.thetas)
+            return (offenders & rs._zero_lanes(dropped), *counts)
+        columns = [rs._column(t) for t in self.thetas]
+        support, halves, ones = (sum(c[j] for c in columns) for j in (2, 3, 4))
+        longs = sum(c[2] for t, c in zip(self.thetas, columns) if rs.norms[t] == rs.long_norm)
+        offenders = rs._span_lanes(self.thetas) & ~rs._zero_lanes(support ^ rs._packed[1] >> 7)  # not +-theta_i
+        return offenders, support, halves, ones, longs
+
+    def _label(self, k: int) -> CaseLabel:
+        """The case label of roots[k], a combination of the thetas."""
+        rs = self.system
+        beta = rs.roots[k]
+        proj = tuple(rs._column(t)[0][k] for t in self.thetas)
         norms = tuple(rs.norms[t] for t in self.thetas)
-        members = rs.span_members(self.thetas)
-        split = bisect_left(members, (len(rs.positive_roots),))  # sorted roots: negatives first
-        labels = []
-        for k, p in members[split:] + members[:split]:
-            if p.count(0) < len(p) - 1:  # one nonzero projection: +-theta_i
-                beta = rs.roots[k]
-                case, coefficients = _case(p, norms, rs.long_norm, rs.norms[beta] == rs.long_norm)
-                labels.append(CaseLabel(case, beta, coefficients))
-        return tuple(labels)
+        case, coefficients = _case(proj, norms, rs.long_norm, rs.norms[beta] == rs.long_norm)
+        return CaseLabel(case, beta, coefficients)
 
     @cached_property
     def _characteristic(self) -> Tuple[OrthogonalSet, Coweight, Coweight]:
@@ -117,8 +125,7 @@ def is_rationally_orthogonal(
     oset: OrthogonalSet,
 ) -> Tuple[bool, List[Tuple[Coords, Tuple[Fraction, ...]]]]:
     """True iff span_Q(thetas) meets Phi only in the +-theta_i."""
-    offenders = offending_roots(oset)
-    return not offenders, offenders
+    return not oset._lanes[0], offending_roots(oset)
 
 
 def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
@@ -129,52 +136,61 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     support together with -beta, on every W-class of orthogonal sets of
     every supported system of rank at most 8.
     """
-    rs = oset.system
-    if rs.span_membership(oset.thetas, beta) is None:
-        raise ValueError("beta is not in the span of the set")
-    proj = tuple(rs.form(beta, t) for t in oset.thetas)
-    norms = tuple(rs.norms[t] for t in oset.thetas)
-    case, coefficients = _case(proj, norms, rs.long_norm, rs.norm(beta) == rs.long_norm)
-    return CaseLabel(case, beta, coefficients)
+    rs, beta = oset.system, tuple(beta)
+    if beta not in rs.root_set or rs.span_membership(oset.thetas, beta) is None:
+        raise ValueError("beta is not a root in the span of the set")
+    return oset._label(rs.roots.index(beta))
 
 
 @lru_cache(maxsize=None)
 def _case(
     proj: Tuple[int, ...], norms: Tuple[int, ...], long_norm: int, beta_long: bool
 ) -> Tuple[str, Tuple[Fraction, ...]]:
-    """The case and coefficients q_i = p_i / n_i of a combination with
-    projections p_i on roots of norms n_i: |q_i| = 1/2 iff 2 |p_i| = n_i and
-    |q_i| = 1 iff |p_i| = n_i. A function of these few integers only, so one
-    call per distinct signature; cascade never calls it and loads no fractions."""
+    """The case (the rules of _case_lanes on one lane) and coefficients
+    q_i = p_i / n_i of a root with projections p_i on roots of norms n_i:
+    one call per signature; cascade never calls it and loads no fractions."""
     from fractions import Fraction
 
     support = [(abs(p), n) for p, n in zip(proj, norms) if p]
-    k = len(support)
+    if not support:
+        raise ValueError("beta is zero")
     halves = sum(2 * p == n for p, n in support)
     ones = sum(p == n for p, n in support)
     longs = sum(n == long_norm for _, n in support)
-    if k == 0:
-        raise ValueError("beta is zero")
-    if k == 1:
-        case = "A1"
-    elif k == 4 and halves == 4:
-        case = "D4"
-    elif k == 3 and (halves, ones, longs) in ((2, 1, 2), (3, 0, 1)):
-        case = "B3" if ones else "C3"
-    elif k == 2 and longs == 1:
-        case = "G2both"
-    elif k == 2 and (halves, ones, beta_long) in ((0, 2, True), (2, 0, False)):
-        case = "B2long" if ones else "B2short"
-    else:
+    lanes = _case_lanes(0x80, 0x7F, (0x80, len(support), halves, ones, longs), 0x80 * beta_long)
+    case = "A1" if len(support) == 1 else next((c for c, m in zip(CASES, lanes) if m), None)
+    if case is None:
         raise AssertionError(f"no case matches projections {proj} on norms {norms}")
     return case, tuple(map(Fraction, proj, norms))
+
+
+def _case_lanes(high: int, low: int, lanes: Sequence[int], long_roots: int) -> List[int]:
+    """The offenders of each case of CASES[:6], from OrthogonalSet._lanes
+    and the lanes of long combinations; lanes are bytes below 128, and
+    high, low are 0x80.., 0x7f.. over them."""
+    offenders, support, halves, ones, longs = lanes
+    unit = high >> 7
+
+    def at(x: int, c: int) -> int:  # the lanes where x holds c
+        return high & ~((x ^ c * unit) + low)
+
+    triple, pair = (offenders & at(support, k) for k in (3, 2))
+    g2 = pair & at(longs, 1)
+    return [
+        offenders & at(support, 4) & at(halves, 4),  # D4
+        triple & at(halves, 2) & at(ones, 1) & at(longs, 2),  # B3
+        triple & at(halves, 3) & at(longs, 1),  # C3
+        pair & ~g2 & at(ones, 2) & long_roots,  # B2long
+        pair & ~g2 & at(halves, 2) & ~long_roots,  # B2short
+        g2,  # G2both
+    ]
 
 
 def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
     """Keep each member, in order, that is strongly orthogonal to every member
     kept before it: of each pair whose sum is a root, the higher index is
     dropped (s_b(a + b) = a - b for orthogonal a, b, so one probe decides).
-    The reduced set reads its labels off this one (OrthogonalSet.offenders)."""
+    The reduced set reads its lanes off this one (OrthogonalSet._lanes)."""
     rs = oset.system
     kept: List[Coords] = []
     for t in oset.thetas:
@@ -182,19 +198,23 @@ def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
             kept.append(t)
     if len(kept) == oset.r:
         return oset
-    reduced = OrthogonalSet(rs, tuple(kept))
-    reduced._parent = oset
+    reduced = OrthogonalSet.__new__(OrthogonalSet)  # a sub-set of a checked set: not checked again
+    reduced.system, reduced.thetas, reduced._parent = rs, tuple(kept), oset
     return reduced
 
 
 def height_of_sum(oset: OrthogonalSet) -> int:
     """Height of e = sum of root vectors: the value of the dominant conjugate
     of the coroot sum on the highest root, after B2-long reduction."""
+    rs = oset.system
     reduced, _, h_dom = oset._characteristic
-    for o in reduced.offenders:
-        if all(q.denominator == 1 for q in o.coefficients):
-            raise AssertionError(f"integral combination {o.beta} survives the reduction")
-    return oset.system.coweight_value(h_dom, oset.system.highest_root)
+    offenders, support, _, ones, _ = reduced._lanes
+    # n_i | p_i iff p_i is 0 or +-n_i (|p_i| < 2 n_i): integral iff support = ones
+    integral = offenders & rs._zero_lanes(support - ones)
+    if integral:
+        beta = rs.roots[next(rs._lanes_in_order(integral))]
+        raise AssertionError(f"integral combination {beta} survives the reduction")
+    return rs.coweight_value(h_dom, rs.highest_root)
 
 
 def _case_supports(oset: OrthogonalSet, case: str) -> List[Tuple[int, ...]]:
@@ -470,17 +490,22 @@ class ClassificationReport(NamedTuple):
 
 
 def classify(oset: OrthogonalSet) -> ClassificationReport:
-    """Full report for an orthogonal set."""
-    rat, _ = is_rationally_orthogonal(oset)
-    first: Dict[str, CaseLabel] = {}
-    for label in oset.offenders:  # positive roots first
-        first.setdefault(label.case, label)
+    """Full report for an orthogonal set: its cases and rational orthogonality
+    read off the lanes, one label built per case, no offender decoded."""
+    rs = oset.system
+    offenders = oset._lanes[0]
+    norms, high, low = rs._packed
+    cases = _case_lanes(high, low, oset._lanes, rs._zero_lanes(norms ^ rs.long_norm * (high >> 7)))
+    unmatched = offenders & ~reduce(or_, cases, 0)
+    if unmatched:  # _case raises with its projections
+        raise AssertionError(f"no case matches {oset._label(next(rs._lanes_in_order(unmatched)))}")
+    first = sorted(next(rs._lanes_in_order(lanes)) for lanes in cases if lanes)  # positive first
     verdict = is_spherical(oset)
     reduced, h, h_dom = oset._characteristic
     return ClassificationReport(
         oset=oset,
-        rationally_orthogonal=rat,
-        cases=list(first.values()),
+        rationally_orthogonal=not offenders,
+        cases=[oset._label(k) for k in first],
         reduced_set=reduced,
         h=h,
         h_dominant=h_dom,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import combinations
-from operator import mul
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import combinations, repeat
+from operator import add, mul
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -194,10 +194,10 @@ class RootSystem:
         self.highest_root: Coords = max(self.positive_roots, key=sum)
         self.long_norm = self.norms[self.highest_root]
         # filled on first use, one entry per root at most (see _row, coroot
-        # and span_members)
+        # and _column)
         self._rows: Dict[Coords, Coords] = {}
         self._coroots: Dict[Coords, Coweight] = {}
-        self._columns: Dict[Coords, Tuple[Tuple[int, ...], int]] = {}
+        self._columns: Dict[Coords, Tuple[Tuple[int, ...], int, int, int, int]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -341,33 +341,48 @@ class RootSystem:
         from fractions import Fraction  # only members need it; a miss returned above
         return tuple(Fraction(p, m) for p, m in zip(proj, norms))
 
-    def span_members(self, thetas: Sequence[Coords]) -> List[Tuple[int, Tuple[int, ...]]]:
-        """(k, p) for each root roots[k] in the rational span of pairwise
-        orthogonal roots thetas (ValueError otherwise), in root order, with
-        p_i = (roots[k], theta_i); one bit-parallel Bessel test over all roots.
-        Byte k of D = L * norms - sum (L / n_i) * squares_i is the defect of
-        roots[k]: in [0, L * long_norm], below 128, and 0 exactly on the span."""
-        if any(self.form(a, b) for a, b in combinations(thetas, 2)):
-            raise ValueError("input roots are not pairwise orthogonal")
-        norms_packed, high, low = self._packed
-        cols = [self._column(t) for t in thetas]
+    def _span_lanes(self, thetas: Sequence[Coords]) -> int:
+        """0x80 in byte k iff roots[k] is in the rational span of thetas, pairwise
+        orthogonal as the caller has checked: byte k of D = L * norms - sum (L / n_i)
+        * squares_i is the Bessel defect, in [0, L * long_norm], 0 exactly on the span."""
         norms = [self.norms[t] for t in thetas]
         lcm = math.lcm(*norms)
-        d = lcm * norms_packed - sum(lcm // n * sq for (_, sq), n in zip(cols, norms))
-        mask, ks = high & ~(d + low), []  # the high bit of each zero byte
-        while mask:
-            bit = mask & -mask
-            ks.append(bit.bit_length() // 8 - 1)
-            mask ^= bit
-        return list(zip(ks, zip(*[tuple(map(proj.__getitem__, ks)) for proj, _ in cols])))
+        squares = sum(lcm // n * self._column(t)[1] for t, n in zip(thetas, norms))
+        return self._zero_lanes(lcm * self._packed[0] - squares)
 
-    def _column(self, theta: Coords) -> Tuple[Tuple[int, ...], int]:
-        """(gamma, theta) over the roots gamma and their squares packed one byte each."""
-        if theta not in self._columns:
-            bt = self._row(theta)
-            proj = tuple(sum(map(mul, g, bt)) for g in self.roots)
-            self._columns[theta] = (proj, int.from_bytes(bytes(p * p for p in proj), "little"))
-        return self._columns[theta]
+    def _zero_lanes(self, x: int) -> int:
+        """0x80 in each zero byte of x, whose bytes are below 128: adding 0x7f
+        sets a byte's high bit iff the byte is not 0, and carries no further."""
+        _, high, low = self._packed
+        return high & ~(x + low)
+
+    def _lanes_in_order(self, mask: int) -> Iterator[int]:
+        """The k with byte k of mask set, in root order but the positive roots
+        (the upper half of the sorted roots) first."""
+        split = len(self.positive_roots)
+        for part, base in ((mask >> 8 * split, split), (mask & ((1 << 8 * split) - 1), 0)):
+            while part:
+                bit = part & -part
+                yield base + bit.bit_length() // 8 - 1
+                part ^= bit
+
+    def _column(self, theta: Coords) -> Tuple[Tuple[int, ...], int, int, int, int]:
+        """(p, p^2, nonzero, half, whole), kept per root theta of norm n: the projections
+        p = (gamma, theta) over the roots gamma, then one byte per root of p^2 (|p| <= 6)
+        and of the lanes, 1 in a byte, where p != 0, where 2 |p| = n and where |p| = n."""
+        col = self._columns.get(theta)
+        if col is None:
+            proj = [0] * len(self.roots)
+            for coords, b in zip(self._by_coordinate, self._row(theta)):
+                if b:  # (gamma, theta) = sum_j gamma_j (B theta)_j over the few j
+                    proj = list(map(add, proj, map(mul, coords, repeat(b))))
+            _, high, low = self._packed
+            sq, n = int.from_bytes(bytes(map(mul, proj, proj)), "little"), self.norms[theta]
+            half, whole = (self._zero_lanes(sq ^ c * c * (high >> 7)) >> 7 for c in (n // 2, n))
+            col = self._columns[theta] = (tuple(proj), sq, ((sq + low) & high) >> 7, half, whole)
+        return col
+
+    _by_coordinate = cached_property(lambda self: tuple(zip(*self.roots)))  # coordinate j of each root
 
     @cached_property
     def _packed(self) -> Tuple[int, ...]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -25,6 +26,7 @@ from weylorbits.nilpotent import (
     _case_supports,
     _components,
     _subdiagram_type,
+    reduce_b2long,
 )
 from weylorbits.quotient import IJKDatum, QuotientElement
 from weylorbits.roots import Coords, Coweight, RootSystem, cartan_matrix, degrees, symmetrizer
@@ -754,3 +756,98 @@ def leq_seq_pairwise(wp: Sequence[int], w: Sequence[int], r: int) -> bool:
             if sum(1 for x in head_p if x > j) > sum(1 for x in head if x > j):
                 return False
     return True
+
+
+# -- the per-member labelling that the lane counts of nilpotent replace --------
+
+
+def span_members(system: RootSystem, thetas: Sequence[Coords]) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(k, p) for each root roots[k] in the rational span of pairwise
+    orthogonal roots thetas (ValueError otherwise), in root order, with
+    p_i = (roots[k], theta_i): the members of the packed Bessel test
+    (RootSystem._span_lanes) decoded one at a time."""
+    if any(system.form(a, b) for a, b in combinations(thetas, 2)):
+        raise ValueError("input roots are not pairwise orthogonal")
+    columns = [system._column(t)[0] for t in thetas]
+    mask, members = system._span_lanes(thetas), []
+    while mask:
+        bit = mask & -mask
+        k = bit.bit_length() // 8 - 1
+        members.append((k, tuple(proj[k] for proj in columns)))
+        mask ^= bit
+    return members
+
+
+def offenders_by_members(oset: OrthogonalSet) -> Tuple[CaseLabel, ...]:
+    """OrthogonalSet.offenders, one member at a time: each member of the span
+    with more than one nonzero projection labelled by case_by_counts,
+    positive roots first and each part in root order; for a set made by
+    reduce_b2long, its parent's labels that vanish on the dropped members,
+    restricted to the kept ones."""
+    parent = oset._parent
+    if parent is not None:
+        keep = [parent.thetas.index(t) for t in oset.thetas]
+        drop = [i for i in range(parent.r) if i not in keep]
+        return tuple(
+            CaseLabel(o.case, o.beta, tuple(o.coefficients[i] for i in keep))
+            for o in offenders_by_members(parent)
+            if not any(o.coefficients[i] for i in drop)
+        )
+    rs = oset.system
+    norms = tuple(rs.norms[t] for t in oset.thetas)
+    members = span_members(rs, oset.thetas)
+    split = bisect_left(members, (len(rs.positive_roots),))  # sorted roots: negatives first
+    labels = []
+    for k, p in members[split:] + members[:split]:
+        if p.count(0) < len(p) - 1:  # one nonzero projection: +-theta_i
+            beta = rs.roots[k]
+            case = case_by_counts(p, norms, rs.long_norm, rs.norms[beta] == rs.long_norm)
+            labels.append(CaseLabel(case, beta, tuple(map(Fraction, p, norms))))
+    return tuple(labels)
+
+
+def case_by_counts(proj: Sequence[int], norms: Sequence[int], long_norm: int, beta_long: bool) -> str:
+    """The case of a combination with projections p_i on roots of norms
+    n_i, from the count, lengths and coefficients of its support, rule by
+    rule: |q_i| = 1/2 iff 2 |p_i| = n_i and |q_i| = 1 iff |p_i| = n_i."""
+    support = [(abs(p), n) for p, n in zip(proj, norms) if p]
+    k = len(support)
+    halves = sum(2 * p == n for p, n in support)
+    ones = sum(p == n for p, n in support)
+    longs = sum(n == long_norm for _, n in support)
+    if k == 0:
+        raise ValueError("beta is zero")
+    if k == 1:
+        return "A1"
+    if k == 4 and halves == 4:
+        return "D4"
+    if k == 3 and (halves, ones, longs) in ((2, 1, 2), (3, 0, 1)):
+        return "B3" if ones else "C3"
+    if k == 2 and longs == 1:
+        return "G2both"
+    if k == 2 and (halves, ones, beta_long) in ((0, 2, True), (2, 0, False)):
+        return "B2long" if ones else "B2short"
+    raise AssertionError(f"no case matches projections {proj} on norms {norms}")
+
+
+def classify_by_members(oset: OrthogonalSet) -> Tuple[Tuple, Tuple[CaseLabel, ...], Tuple[CaseLabel, ...]]:
+    """(rationally_orthogonal, cases, reduced thetas, h, height, labels) of
+    classify from the per-member labels (the first label of each case, and
+    the Fraction test that no label of the reduced set is integral, an
+    AssertionError otherwise), with the offenders of the set and of its
+    reduced set."""
+    rs = oset.system
+    offenders = offenders_by_members(oset)
+    first: Dict[str, CaseLabel] = {}
+    for label in offenders:
+        first.setdefault(label.case, label)
+    reduced = reduce_b2long(oset)
+    reduced_offenders = offenders_by_members(reduced)
+    for o in reduced_offenders:
+        if all(q.denominator == 1 for q in o.coefficients):
+            raise AssertionError(f"integral combination {o.beta} survives the reduction")
+    h = reduced.coroot_sum()
+    h_dom = rs.dominantize(h)[0]
+    height = rs.coweight_value(h_dom, rs.highest_root)
+    fields = (not offenders, list(first.values()), reduced.thetas, h, height, h_dom.coords)
+    return fields, offenders, reduced_offenders

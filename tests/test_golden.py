@@ -57,7 +57,7 @@ from weylorbits.roots import RootSystem
 g2 = RootSystem("G", 2)
 g2.long_norm = 22  # 6 * 22 = 132
 try:
-    g2.span_members([g2.highest_root])
+    g2._span_lanes([g2.highest_root])
     bound = "not checked"
 except AssertionError as exc:
     bound = str(exc)

@@ -1,4 +1,8 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -32,6 +36,7 @@ from oracles import (
     SYSTEMS_TO_12,
     cascade_chains,
     chain_cascade_by_pool,
+    classify_by_members,
     involution_element,
     label_by_diagram,
     levi_action_by_reflections,
@@ -526,13 +531,13 @@ def test_offenders_match_per_root_projection_scan(family, rank):
 
 def test_classify_scans_each_set_once(monkeypatch):
     calls = []
-    span_members = RootSystem.span_members
+    span_lanes = RootSystem._span_lanes
 
     def counting(self, thetas):
         calls.append(tuple(thetas))
-        return span_members(self, thetas)
+        return span_lanes(self, thetas)
 
-    monkeypatch.setattr(RootSystem, "span_members", counting)
+    monkeypatch.setattr(RootSystem, "_span_lanes", counting)
     data = _rem_5cases_data()
     # nothing to reduce: one scan of the set
     for system, thetas, _, case, _ in data[:2] + data[4:]:
@@ -583,13 +588,13 @@ def test_classify_makes_one_scan_per_request(family, rank, monkeypatch):
     # a classify request as the census makes it: the report and the Levi
     # report of the reduced set, on a fresh set
     calls = []
-    span_members = RootSystem.span_members
+    span_lanes = RootSystem._span_lanes
 
     def counting(self, thetas):
         calls.append(tuple(thetas))
-        return span_members(self, thetas)
+        return span_lanes(self, thetas)
 
-    monkeypatch.setattr(RootSystem, "span_members", counting)
+    monkeypatch.setattr(RootSystem, "_span_lanes", counting)
     rs = build_root_system(family, rank)
     reductions = 0
     for thetas in orthogonal_subsets(rs, 4):
@@ -636,3 +641,121 @@ def test_subdiagram_type_of_every_connected_subset(family, rank):
         if sub_family == "B" and sub_rank >= 3:
             norms = [rs.norm(rs.simple_root(i)) for i in subset]
             assert norms.count(min(norms)) == 1, (subset, name)
+
+
+def _lane_sets():
+    """Every orthogonal set of at most four roots in A1-A6, B2-B5, C2-C5,
+    D4, D5, G2, F4 and E6 (3116 sets), 56 seeded sets each in E7 and E8
+    (of every size up to the rank), and the 50-root chain of the A99
+    cascade, whose lane counts sum 50 masks."""
+    systems = (
+        [("A", n) for n in range(1, 7)]
+        + [(f, n) for f in "BC" for n in range(2, 6)]
+        + [("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)]
+    )
+    for family, rank in systems:
+        rs = build_root_system(family, rank)
+        yield from (orthogonal_set(rs, thetas) for thetas in orthogonal_subsets(rs, 4))
+    for rank in (7, 8):
+        rs = build_root_system("E", rank)
+        rng = random.Random(100 + rank)
+        for size in range(1, rank + 1):
+            for _ in range(50 // rank + 1):
+                yield random_orthogonal_set(rs, size, rng)
+    a99 = build_root_system("A", 99)
+    (chain,) = cascade_chains(chain_cascade(a99))
+    yield orthogonal_set(a99, chain)
+
+
+def test_lane_labels_match_the_per_member_labels():
+    # classify reads its cases, rational orthogonality and the integrality
+    # of the reduced set's labels off summed lane counts; the reference
+    # labels every member of the span one at a time
+    sets = reductions = 0
+    for oset in _lane_sets():
+        fresh = orthogonal_set(oset.system, oset.thetas)
+        report = classify(oset)
+        reduced = report.reduced_set
+        fields = (
+            report.rationally_orthogonal,
+            report.cases,
+            reduced.thetas,
+            report.h,
+            report.height,
+            report.dynkin_labels,
+        )
+        assert (fields, oset.offenders, reduced.offenders) == classify_by_members(fresh), oset.thetas
+        sets += oset.system.rank < 7
+        reductions += reduced is not oset
+    assert sets == 3116 and reductions > 300
+
+
+def test_classify_checks_orthogonality_once(monkeypatch):
+    # a four-root F4 set whose reduction drops a root: the set checks its six
+    # pairs when it is made, and neither classify nor the reduced set checks
+    # them again
+    f4 = build_root_system("F", 4)
+    thetas = next(
+        t for t in orthogonal_subsets(f4, 4)
+        if len(t) == 4 and reduce_b2long(orthogonal_set(f4, t)).r < 4
+    )
+    calls = []
+    form = RootSystem.form
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return form(self, u, v)
+
+    monkeypatch.setattr(RootSystem, "form", counting)
+    oset = orthogonal_set(f4, thetas)
+    assert sorted(calls) == sorted(combinations(thetas, 2))
+    report = classify(oset)
+    assert report.reduced_set.r < 4 and len(calls) == 6
+    report.reduced_set.offenders, levi_and_involution(report.reduced_set)
+    assert len(calls) == 6
+
+
+def _faults():
+    """The errors classify raises when each invariant it reads off the lanes
+    is broken on purpose: reduce_b2long leaves a B2-long pair whole, and a
+    G2 system built apart from the shared one is given a long norm that no
+    root has."""
+    import weylorbits.nilpotent as nil
+
+    errors = []
+    b2 = build_root_system("B", 2)
+    original = nil.reduce_b2long
+    nil.reduce_b2long = lambda oset: oset
+    try:
+        classify(orthogonal_set(b2, [(0, 1), (1, 1)]))
+    except AssertionError as exc:
+        errors.append(str(exc))
+    finally:
+        nil.reduce_b2long = original
+    g2 = RootSystem("G", 2)
+    g2.long_norm = 4
+    try:
+        classify(orthogonal_set(g2, [g2.highest_root, (1, 0)]))
+    except AssertionError as exc:
+        errors.append(str(exc))
+    return errors
+
+
+FAULTS = [
+    "integral combination (1, 0) survives the reduction",
+    "no case matches projections (3, -3) on norms (6, 2)",
+]
+
+
+def test_lane_invariants_raise():
+    assert _faults() == FAULTS
+
+
+def test_lane_invariants_raise_under_python_O():
+    # python -O strips assert statements; both checks are explicit raises
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
+    script = "import sys, test_nilpotent as t; print(repr((sys.flags.optimize, t._faults())))"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout.strip()) == (1, FAULTS)
