@@ -4,20 +4,22 @@ Subcommands: poset, compare, classify, cascade, orbits, selftest.
 Exit codes: 0 success / relation holds, 1 property fails / incomparable,
 2 usage or validation error, 3 enumeration cap exceeded.
 
-The layer modules (quotient, linkpatterns, nilpotent) and json are imported
-inside the commands that use them, so a command loads only what it runs.
+Only roots is imported here: the layer modules (weyl, quotient,
+linkpatterns, nilpotent) and json are imported inside the commands that use
+them, so a command loads only what it runs. No command makes a Weyl group:
+the cap is checked on |W| from the degrees, and the orders are decided on
+keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .roots import RootSystem, build_root_system, cartan_entries, degrees, InvalidRankError
-from .weyl import CapExceededError, WeylGroup, from_line_notation, from_word, to_line_notation, weyl_group
+from .roots import DEFAULT_CAP, CapExceededError, InvalidRankError, RootSystem
+from .roots import build_root_system, capped_order, cartan_entries
 
 if TYPE_CHECKING:
     from . import nilpotent as nil
@@ -62,39 +64,21 @@ def _parse_nr(text: str) -> Tuple[int, int]:
     return values[0], values[1]
 
 
-def _build_system(family: str, rank: int) -> RootSystem:
-    try:
-        return build_root_system(family, rank)
-    except InvalidRankError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
-    """The root systems, each with its Weyl group made (not enumerated) under
-    WEYLORBITS_CAP (WeylGroup.DEFAULT_CAP if unset), built only after every
-    system is known to be supported (UsageError otherwise) and |W|, the
-    product of the degrees, to fit under the cap; |W| >= 2^rank refuses a
-    rank above the cap's bit length first. classify and cascade ignore the
-    cap."""
+    """The root systems, built only after each is known to be supported
+    (InvalidRankError otherwise) and to have |W| under WEYLORBITS_CAP
+    (DEFAULT_CAP if unset; roots.capped_order). No group is made. classify
+    and cascade ignore the cap."""
     cap = os.environ.get("WEYLORBITS_CAP")
     try:
-        limit = WeylGroup.DEFAULT_CAP if cap is None else int(cap)
+        limit = DEFAULT_CAP if cap is None else int(cap)
     except ValueError as exc:
         raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}") from exc
     if limit < 1:
         raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
-    if any(rank > limit.bit_length() for _, rank in systems):
-        raise CapExceededError(limit)
-    try:
-        order = max(math.prod(degrees(family.upper(), rank)) for family, rank in systems)
-    except InvalidRankError as exc:
-        raise UsageError(str(exc)) from exc
-    if order > limit:
-        raise CapExceededError(limit)
-    built = [build_root_system(family, rank) for family, rank in systems]
-    for system in built:
-        weyl_group(system, cap=limit)  # kept on the system, so the cap set here holds
-    return built
+    for family, rank in systems:
+        capped_order(family.upper(), rank, limit)
+    return [build_root_system(family, rank) for family, rank in systems]
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
@@ -125,6 +109,8 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def _parse_word(datum: qt.IJKDatum, text: str, perm: bool) -> qt.QuotientElement:
+    from .weyl import from_line_notation, from_word
+
     system = datum.system
     if perm:
         try:
@@ -162,6 +148,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from . import quotient as qt
+    from .weyl import bruhat_leq_keys, to_line_notation
 
     datum = _build_datum(args)
     wp = _parse_word(datum, args.lhs, args.perm)
@@ -173,7 +160,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lines.append(f"lhs: {wp.rep!r}  Min = {{{', '.join(map(repr, mins_p))}}}")
     lines.append(f"rhs: {w.rep!r}  Min = {{{', '.join(map(repr, qt.min_set(w)))}}}")
     if rel:
-        witness = next(u for u in mins_p if datum.group.bruhat_leq(u, w.rep))
+        bonds, x, lw = datum.system.bonds, w.rep.x, w.length()
+        witness = next(u for u in mins_p if bruhat_leq_keys(bonds, u.x, u.length(), x, lw))
         lines.append(f"{wp.rep!r} <=_O {w.rep!r} (witness {witness!r})")
     else:
         lines.append(f"not {wp.rep!r} <=_O {w.rep!r}")
@@ -186,13 +174,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 raise ValueError(f"n must be rank + 1 = {datum.system.rank + 1}")
             if lp.type_a_parts(n, r) != (datum.I, datum.J, datum.K, datum.star_map):
                 raise ValueError(f"the datum is not the type-A datum of D_{{{n},{r}}}")
-            for label, node in (("lhs", wp), ("rhs", w)):
-                line = to_line_notation(node.rep)
-                lines.append(
-                    f"{label} S_w = ({' '.join(map(str, lp.seq_S(line, r)))})"
-                )
-            dl = lp.olp_from_perm(to_line_notation(wp.rep), r)
-            dr = lp.olp_from_perm(to_line_notation(w.rep), r)
+            perms = [to_line_notation(node.rep) for node in (wp, w)]
+            for label, line in zip(("lhs", "rhs"), perms):
+                lines.append(f"{label} S_w = ({' '.join(map(str, lp.seq_S(line, r)))})")
+            dl, dr = (lp.olp_from_perm(line, r) for line in perms)
         except ValueError as exc:
             raise UsageError(f"--nr {args.nr!r}: {exc}") from exc
         lines.append(f"leq_D: {lp.leq_D(dl, dr)}")
@@ -203,7 +188,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     from . import nilpotent as nil
 
-    system = _build_system(args.type, args.rank)
+    system = build_root_system(args.type, args.rank)
     thetas = []
     for spec_text in args.root:
         coords = tuple(_parse_ints(spec_text))
@@ -265,7 +250,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         raise UsageError("--depth must be >= 0")
     from . import nilpotent as nil
 
-    system = _build_system(args.type, args.rank)
+    system = build_root_system(args.type, args.rank)
     tree = nil.chain_cascade(system, args.depth)
     lines: List[str] = []
 
@@ -338,6 +323,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     from . import linkpatterns as lp
     from . import quotient as qt
+    from .weyl import bruhat_leq_keys, to_line_notation
 
     failures: List[str] = []
 
@@ -360,47 +346,35 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     *_, cover_system = _capped_systems(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))
-    type_a = [(n, r, lp.type_a_datum(n, r)) for n, r in pairs_nr]
-    cover_datum = qt.IJKDatum(cover_system, [1], [3])
-    for n, r, datum in type_a:
-        nodes = datum.quotient_elements()
+    for n, r in pairs_nr:
+        nodes = lp.type_a_datum(n, r).quotient_elements()
         lines = [to_line_notation(node.rep) for node in nodes]
-        pats = [lp.olp_from_perm(line, r) for line in lines]
-        bad = None
-        for i, a in enumerate(nodes):
-            for j, b in enumerate(nodes):
-                o = qt.leq_O(a, b)
-                d = lp.leq_D(pats[i], pats[j])
-                s = lp.leq_seq(lines[i], lines[j], r)
-                if not (o == d == s):
-                    bad = (lines[i], lines[j], o, d, s)
-                    break
-            if bad:
-                break
+        rows = list(zip(nodes, lines, [lp.olp_from_perm(line, r) for line in lines]))
+        results = (
+            (la, lb, qt.leq_O(a, b), lp.leq_D(da, db), lp.leq_seq(la, lb, r))
+            for a, la, da in rows
+            for b, lb, db in rows
+        )
+        bad = next((t for t in results if not t[2] == t[3] == t[4]), None)
         check(f"order equivalence (n={n}, r={r})", bad is None, str(bad))
-    datum = cover_datum
-    nodes = datum.quotient_elements()
-    ok = True
-    detail = ""
-    for w in nodes:
-        for wp in nodes:
-            if wp.length() != w.length() - 1:
-                continue
-            i = any(
-                datum.group.bruhat_leq(up, u) and up.length() == u.length() - 1
-                for u in qt.min_set(w)
-                for up in qt.min_set(wp)
-            )
-            iii = any(
-                datum.group.bruhat_leq(up, w.rep) for up in qt.min_set(wp)
-            )
-            if i != iii:
-                ok = False
-                detail = f"{wp} vs {w}"
-                break
-        if not ok:
-            break
-    check(f"cover equivalence ({coxeter})", ok, detail)
+
+    def covers_agree(wp: qt.QuotientElement, w: qt.QuotientElement) -> bool:
+        """For w' one shorter than w: (i) some member of Min(w') is
+        Bruhat-below some member of Min(w) (each of its representative's
+        length) iff (iii) w' <=_O w."""
+        i = any(
+            bruhat_leq_keys(cover_system.bonds, up.x, wp.length(), u.x, w.length())
+            for u in qt.min_set(w)
+            for up in qt.min_set(wp)
+        )
+        return i == qt.leq_O(wp, w)
+
+    nodes = qt.IJKDatum(cover_system, [1], [3]).quotient_elements()
+    bad = next(
+        (f"{wp} vs {w}" for w in nodes for wp in nodes if wp.length() == w.length() - 1 and not covers_agree(wp, w)),
+        None,
+    )
+    check(f"cover equivalence ({coxeter})", bad is None, str(bad))
     if failures:
         print("failed: " + ", ".join(failures))
         return EXIT_FAIL
@@ -482,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, InvalidRankError) as exc:  # an unsupported system is bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

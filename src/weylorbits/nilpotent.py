@@ -137,9 +137,11 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     every supported system of rank at most 8.
     """
     rs, beta = oset.system, tuple(beta)
-    if beta not in rs.root_set or rs.span_membership(oset.thetas, beta) is None:
-        raise ValueError("beta is not a root in the span of the set")
-    return oset._label(rs.roots.index(beta))
+    if beta in rs.root_set:
+        k = rs.roots.index(beta)
+        if rs._span_lanes(oset.thetas) >> 8 * k & 0x80:  # the set is checked orthogonal
+            return oset._label(k)
+    raise ValueError("beta is not a root in the span of the set")
 
 
 @lru_cache(maxsize=None)

@@ -37,6 +37,18 @@ class InvalidRankError(ValueError):
     """Unsupported (family, rank) combination."""
 
 
+class CapExceededError(RuntimeError):
+    """The group is larger than the configured enumeration cap."""
+
+    def __init__(self, partial_size: int):
+        super().__init__(f"enumeration cap exceeded; partial size {partial_size}")
+        self.partial_size = partial_size
+
+
+# The cap on |W| when none is given (weyl.WeylGroup) or set (WEYLORBITS_CAP).
+DEFAULT_CAP = 1_000_000
+
+
 def degrees(family: str, rank: int) -> Tuple[int, ...]:
     """Degrees of the basic invariants of the Weyl group: |W| is their
     product and the number of positive roots is the sum of d - 1.
@@ -50,6 +62,18 @@ def degrees(family: str, rank: int) -> Tuple[int, ...]:
     if (family, rank) in _EXCEPTIONAL_DEGREES:
         return _EXCEPTIONAL_DEGREES[family, rank]
     raise InvalidRankError(f"unsupported root system {family}{rank}")
+
+
+def capped_order(family: str, rank: int, cap: int) -> int:
+    """|W|, the product of the degrees, if it is at most cap; CapExceededError
+    otherwise, without forming the degrees when rank > cap.bit_length(), since
+    |W| >= 2^rank. InvalidRankError for an unsupported system."""
+    if rank > cap.bit_length():
+        raise CapExceededError(cap)
+    order = math.prod(degrees(family, rank))
+    if order > cap:
+        raise CapExceededError(cap)
+    return order
 
 
 def _diagram_edges(family: str, rank: int) -> List[Tuple[int, int, int, int]]:
@@ -394,7 +418,8 @@ class RootSystem:
         return tuple(int.from_bytes(x, "little") for x in packed)
 
 
-# One RootSystem per (family, rank) and process; its Weyl group is cached on it.
+# One RootSystem per (family, rank) and process; weyl.weyl_group keeps the
+# system's group on it, made only for a caller that asks for the group.
 _SYSTEMS: Dict[Tuple[str, int], RootSystem] = {}
 
 

@@ -8,10 +8,11 @@ w(alpha_i). The key is defined without enumerating the group:
 - the right descents of w are the indices i with x_i < 0;
 - removing right descents until x is dominant spells a reduced word of w.
 
-WeylGroup knows its order from the degrees and enumerates the orbit of
-rho^vee breadth-first only when its elements or its length table are read.
-Bruhat order is decided on keys by the lifting property, without tables or
-a memo.
+WeylGroup knows its order from the degrees (roots.capped_order, the one cap
+check) and enumerates the orbit of rho^vee breadth-first only when its
+elements or its length table are read. Bruhat order is decided on keys by
+the lifting property (bruhat_leq_keys), without a group, tables or a memo;
+the quotient and the CLI use it on keys alone.
 
 The convention is that a word w = s_{i_1} ... s_{i_k} acts with the rightmost
 letter first (standard composition), so in type A the word s_2 s_1 has line
@@ -20,20 +21,12 @@ notation 3 1 2.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .roots import Bonds, Coords, RootSystem, coweight_reflect, degrees, strip_descents
-
-
-class CapExceededError(RuntimeError):
-    """The group is larger than the configured enumeration cap."""
-
-    def __init__(self, partial_size: int):
-        super().__init__(f"enumeration cap exceeded; partial size {partial_size}")
-        self.partial_size = partial_size
+from .roots import Bonds, Coords, RootSystem, capped_order, coweight_reflect, strip_descents
+from .roots import DEFAULT_CAP, CapExceededError  # the error is re-exported, as weyl.CapExceededError
 
 
 class WeylElement:
@@ -253,18 +246,17 @@ def bruhat_leq_keys(bonds: Bonds, u: Coords, lu: int, w: Coords, lw: int) -> boo
 class WeylGroup:
     """A finite Weyl group, enumerated only when a caller reads it whole.
 
-    Construction checks |W|, the product of the degrees, against the cap and
-    enumerates nothing. `lengths` maps each key to the length of its element
-    and `elements` lists the group breadth-first by length; both are built on
-    first use. Bruhat order needs no enumeration.
+    Construction checks |W|, the product of the degrees, against the cap
+    (roots.capped_order) and enumerates nothing. `lengths` maps each key to
+    the length of its element and `elements` lists the group breadth-first
+    by length; both are built on first use. Bruhat order needs no
+    enumeration.
     """
 
-    DEFAULT_CAP = 1_000_000
+    DEFAULT_CAP = DEFAULT_CAP  # roots.DEFAULT_CAP, the CLI's default too
 
     def __init__(self, system: RootSystem, cap: int = DEFAULT_CAP):
-        self._order = math.prod(degrees(system.family, system.rank))
-        if self._order > cap:
-            raise CapExceededError(cap)
+        self._order = capped_order(system.family, system.rank, cap)
         self.system = system
 
     def __len__(self) -> int:
@@ -321,9 +313,9 @@ def weyl_group(system: RootSystem, cap: Optional[int] = None) -> WeylGroup:
     degrees, is larger than the cap, also when the group was made before.
     Without one, a new group is checked against WeylGroup.DEFAULT_CAP.
     """
-    if cap is not None and math.prod(degrees(system.family, system.rank)) > cap:
-        raise CapExceededError(cap)
     group = getattr(system, "_weyl_group", None)
     if group is None:
         group = system._weyl_group = WeylGroup(system, WeylGroup.DEFAULT_CAP if cap is None else cap)
+    elif cap is not None:
+        capped_order(system.family, system.rank, cap)
     return group

@@ -264,6 +264,21 @@ def test_selftest_coxeter_without_index_3(capsys):
     _assert_usage_error(capsys, "selftest", "--coxeter", "G2")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--type", "E", "--rank", "9", "1 0 0 0 0 0 0 0 0"),
+        ("cascade", "--type", "Z", "--rank", "3"),
+        ("cascade", "--type", "D", "--rank", "-1"),
+        ("poset", "--type", "D", "--rank", "2", "--I", "1", "--J", "2"),
+        ("compare", "--type", "G", "--rank", "3", "1", "2"),
+    ],
+    ids=["classify-E9", "cascade-Z3", "cascade-D-1", "poset-D2", "compare-G3"],
+)
+def test_unsupported_system_is_a_usage_error(capsys, argv):
+    _assert_usage_error(capsys, *argv)
+
+
 @pytest.mark.parametrize("nr", ["banana", "4 2"])
 def test_compare_nr_outside_type_a(capsys, nr):
     _assert_usage_error(
@@ -407,16 +422,16 @@ def test_cap_refuses_before_building_the_system(cap, argv, system, partial):
 @pytest.mark.parametrize("cap", [None, "5"], ids=["default-cap", "cap5"])
 def test_cap_refuses_an_absurd_rank_before_its_degrees(cap, capsys, monkeypatch):
     # |W| >= 2^rank, so a rank above the cap's bit length needs no degrees
-    from weylorbits import cli
+    from weylorbits import roots
 
-    real = cli.degrees
+    real = roots.degrees
 
     def degrees(family, rank):
         if rank >= 10**7:
             raise RuntimeError("degrees formed for an absurd rank")
         return real(family, rank)
 
-    monkeypatch.setattr(cli, "degrees", degrees)
+    monkeypatch.setattr(roots, "degrees", degrees)  # read by roots.capped_order
     if cap is None:
         monkeypatch.delenv("WEYLORBITS_CAP", raising=False)
     else:
@@ -450,6 +465,33 @@ def test_cap_above_the_default_raises_the_limit(cap, argv):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+A9_COMPARE = ("compare", "--type", "A", "--rank", "9", "--I", "1", "--J", "9", "1", "1 2")
+
+
+def test_raised_cap_compares_without_a_group(capsys, monkeypatch):
+    # |W(A9)| = 3628800 is over the default cap: under a raised cap the
+    # witness is found on keys, and no WeylGroup (whose default cap would
+    # refuse A9) is made
+    from weylorbits.weyl import WeylGroup
+
+    made = []
+    real = WeylGroup.__init__
+
+    def init(self, system, *args, **kwargs):
+        made.append((system.family, system.rank))
+        real(self, system, *args, **kwargs)
+
+    monkeypatch.setattr(WeylGroup, "__init__", init)
+    monkeypatch.setenv("WEYLORBITS_CAP", "10000000")
+    code, out, err = run(capsys, *A9_COMPARE)
+    assert (code, err, made) == (0, "", [])
+    assert out.splitlines()[-1] == "s1 <=_O s1 s2 (witness s1)"
+    monkeypatch.delenv("WEYLORBITS_CAP")
+    code, out, err = run(capsys, *A9_COMPARE)
+    assert (code, out, made) == (3, "", [])
+    assert err == "error: enumeration cap exceeded; partial size 1000000\n"
 
 
 @pytest.mark.parametrize(

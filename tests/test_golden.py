@@ -97,10 +97,15 @@ def test_orbits_and_compare_goldens_under_python_O():
     _replay_under_python_O(("orbits-", "compare-"))
 
 
-# Replays the named cases in one interpreter; after each, finds the Weyl
-# groups alive and whether any has its lengths or elements computed. Prints
-# the number of cases, the names whose output differs, the names after which
-# a group was enumerated, and the systems of the groups alive at the end.
+def test_poset_and_selftest_goldens_under_python_O():
+    # the cover scan of poset, and the order and cover checks of selftest,
+    # all decided on keys
+    _replay_under_python_O(("poset-", "selftest"))
+
+
+# Replays the named cases in one interpreter; after each, looks for Weyl
+# group objects alive. Prints the number of cases, the names whose output
+# differs, and the names after which some WeylGroup was alive.
 ENUMERATION_CHILD = """
 import gc, io, json, os, sys
 from weylorbits.cli import main
@@ -108,7 +113,7 @@ from weylorbits.weyl import WeylGroup
 golden, names = sys.argv[1], set(sys.argv[2:])
 with open(os.path.join(golden, "manifest.json"), encoding="utf-8") as fh:
     cases = [c for c in json.load(fh) if c["name"] in names]
-bad, enumerated = [], []
+bad, with_group = [], []
 for case in cases:
     sys.stdout = io.StringIO()
     code = main(case["argv"])
@@ -116,28 +121,19 @@ for case in cases:
     with open(os.path.join(golden, case["name"]), "rb") as fh:
         if code != case["exit"] or out.encode("utf-8") != fh.read():
             bad.append(case["name"])
-    groups = [g for g in gc.get_objects() if isinstance(g, WeylGroup)]
-    if any("lengths" in vars(g) or "elements" in vars(g) for g in groups):
-        enumerated.append(case["name"])
-print(repr((len(cases), bad, enumerated, sorted((g.system.family, g.system.rank) for g in groups))))
+    if any(isinstance(g, WeylGroup) for g in gc.get_objects()):
+        with_group.append(case["name"])
+print(repr((len(cases), bad, with_group)))
 """
 
 
 def test_poset_compare_and_orbits_goldens_enumerate_no_group():
-    # each of these commands works on the quotient's keys alone: the cap
-    # makes each system's group, and none of them is ever enumerated
-    names = [c["name"] for c in MANIFEST if c["argv"][0] in ("poset", "compare", "orbits")]
-    count, bad, enumerated, systems = _replay([], ENUMERATION_CHILD, names)
-    assert (count, bad, enumerated) == (len(names), [], [])
-    # one group per system, made by the cap; orbits with r = 0 makes none
-    expected = set()
-    for case in MANIFEST:
-        argv = case["argv"]
-        if argv[0] in ("poset", "compare"):
-            expected.add((argv[argv.index("--type") + 1], int(argv[argv.index("--rank") + 1])))
-        elif argv[0] == "orbits" and argv[argv.index("--r") + 1] != "0":
-            expected.add(("A", int(argv[argv.index("--n") + 1]) - 1))
-    assert systems == sorted(expected)
+    # these commands work on keys alone: the cap is checked on |W| from the
+    # degrees and the orders on keys, so no command makes a WeylGroup, let
+    # alone enumerates one; the selftest goldens are replayed too
+    names = [c["name"] for c in MANIFEST if c["argv"][0] in ("poset", "compare", "orbits", "selftest")]
+    assert len(names) == 46
+    assert _replay([], ENUMERATION_CHILD, names) == (len(names), [], [])
 
 
 # The classify goldens of D4, B3, C3, B2 and G2, and the orthogonal sets of

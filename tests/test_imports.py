@@ -63,9 +63,11 @@ COMMANDS = {
     "classify": ("classify", "--type", "G", "--rank", "2", "3 2", "1 0"),
     "cascade": ("cascade", "--type", "A", "--rank", "3"),
     "orbits": ("orbits", "--n", "4", "--r", "2"),
+    "selftest": ("selftest",),
 }
-BASE = ["weylorbits.cli", "weylorbits.roots", "weylorbits.weyl"]
-QUOTIENT = sorted(BASE + ["weylorbits.quotient"])
+# cli imports only roots; weyl comes with the quotient layers
+BASE = ["weylorbits.cli", "weylorbits.roots"]
+QUOTIENT = sorted(BASE + ["weylorbits.quotient", "weylorbits.weyl"])
 NILPOTENT = sorted(BASE + ["weylorbits.nilpotent"])
 ORBITS = sorted(QUOTIENT + ["weylorbits.linkpatterns"])
 
@@ -78,8 +80,9 @@ ORBITS = sorted(QUOTIENT + ["weylorbits.linkpatterns"])
         (COMMANDS["classify"], 0, NILPOTENT),
         (COMMANDS["cascade"], 0, NILPOTENT),
         (COMMANDS["orbits"], 0, ORBITS),
+        (COMMANDS["selftest"], 0, ORBITS),
     ],
-    ids=["poset", "compare", "classify", "cascade", "orbits"],
+    ids=["poset", "compare", "classify", "cascade", "orbits", "selftest"],
 )
 def test_command_loads_only_its_layers(argv, code, modules):
     assert _child(CHILD, *argv)[:3] == (code, modules, False)
@@ -97,8 +100,9 @@ def test_command_loads_only_its_layers(argv, code, modules):
         ("orbits", []),
         ("classify", ["fractions"]),
         ("cascade", []),
+        ("selftest", []),
     ],
-    ids=["poset", "compare", "orbits", "classify", "cascade"],
+    ids=["poset", "compare", "orbits", "classify", "cascade", "selftest"],
 )
 def test_command_stdlib_footprint(name, stdlib):
     assert _child(CHILD, *COMMANDS[name])[3] == stdlib

@@ -715,6 +715,31 @@ def test_classify_checks_orthogonality_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_classify_combination_checks_no_orthogonality(monkeypatch):
+    # membership is read from the set's span lanes: labelling the 40
+    # offenders of this F4 set one by one made 240 form calls (6 per call)
+    f4 = build_root_system("F", 4)
+    oset = orthogonal_set(f4, [(0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 2, 1), (2, 3, 4, 2)])
+    pair = orthogonal_set(f4, oset.thetas[:2])  # four orthogonal roots span every root
+    outside = next(g for g in f4.roots if f4.span_membership(pair.thetas, g) is None)
+    calls = []
+    form = RootSystem.form
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return form(self, u, v)
+
+    monkeypatch.setattr(RootSystem, "form", counting)
+    assert len(oset.offenders) == 40
+    assert [classify_combination(oset, o.beta) for o in oset.offenders] == list(oset.offenders)
+    for t in oset.thetas:
+        assert classify_combination(oset, t).case == classify_combination(oset, neg(t)).case == "A1"
+    for beta in (outside, (1, 0, 1, 0)):  # a root outside the span, and not a root
+        with pytest.raises(ValueError, match=r"^beta is not a root in the span of the set$"):
+            classify_combination(pair, beta)
+    assert calls == []
+
+
 def _faults():
     """The errors classify raises when each invariant it reads off the lanes
     is broken on purpose: reduce_b2long leaves a B2-long pair whole, and a
