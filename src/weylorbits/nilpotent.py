@@ -68,21 +68,48 @@ class OrthogonalSet:
         if (parent := self._parent) is not None:
             offenders, *counts = parent._lanes
             dropped = sum(rs._column(t)[2] for t in parent.thetas if t not in self.thetas)
-            return (offenders & rs._zero_lanes(dropped), *counts)
+            return (offenders & rs._lanes_at(dropped, 0), *counts)
         columns = [rs._column(t) for t in self.thetas]
         support, halves, ones = (sum(c[j] for c in columns) for j in (2, 3, 4))
         longs = sum(c[2] for t, c in zip(self.thetas, columns) if rs.norms[t] == rs.long_norm)
-        offenders = rs._span_lanes(self.thetas) & ~rs._zero_lanes(support ^ rs._packed[1] >> 7)  # not +-theta_i
+        offenders = rs._span_lanes(self.thetas) & ~rs._lanes_at(support, 1)  # not +-theta_i
         return offenders, support, halves, ones, longs
 
-    def _label(self, k: int) -> CaseLabel:
-        """The case label of roots[k], a combination of the thetas."""
+    @cached_property
+    def _cases(self) -> Dict[str, int]:
+        """The offenders of each case of CASES[:6], as lanes: zero-lane tests
+        on the counts of _lanes, and on the norm of the combination for the
+        B2 cases. An offender in no case is an AssertionError."""
         rs = self.system
-        beta = rs.roots[k]
-        proj = tuple(rs._column(t)[0][k] for t in self.thetas)
-        norms = tuple(rs.norms[t] for t in self.thetas)
-        case, coefficients = _case(proj, norms, rs.long_norm, rs.norms[beta] == rs.long_norm)
-        return CaseLabel(case, beta, coefficients)
+        offenders, support, halves, ones, longs = self._lanes
+        at = rs._lanes_at
+        long_roots = at(rs._packed[0], rs.long_norm)
+        triple, pair = (offenders & at(support, k) for k in (3, 2))
+        g2 = pair & at(longs, 1)
+        cases = dict(zip(CASES, (
+            offenders & at(support, 4) & at(halves, 4),  # D4
+            triple & at(halves, 2) & at(ones, 1) & at(longs, 2),  # B3
+            triple & at(halves, 3) & at(longs, 1),  # C3
+            pair & ~g2 & at(ones, 2) & long_roots,  # B2long
+            pair & ~g2 & at(halves, 2) & ~long_roots,  # B2short
+            g2,  # G2both
+        )))
+        unmatched = offenders & ~reduce(or_, cases.values())
+        if unmatched:
+            proj, norms = self._projections(next(rs._lanes_in_order(unmatched)))
+            raise AssertionError(f"no case matches projections {proj} on norms {norms}")
+        return cases
+
+    def _projections(self, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The projections p_i = (roots[k], theta_i) and the norms n_i."""
+        rs = self.system
+        return tuple(rs._column(t)[0][k] for t in self.thetas), tuple(rs.norms[t] for t in self.thetas)
+
+    def _label(self, k: int) -> CaseLabel:
+        """The case label of roots[k], a root of the span: its case in _cases,
+        A1 for the +-theta_i."""
+        case = next((c for c, lanes in self._cases.items() if lanes >> 8 * k & 0x80), "A1")
+        return CaseLabel(case, self.system.roots[k], _coefficients(*self._projections(k)))
 
     @cached_property
     def _characteristic(self) -> Tuple[OrthogonalSet, Coweight, Coweight]:
@@ -139,53 +166,19 @@ def classify_combination(oset: OrthogonalSet, beta: Coords) -> CaseLabel:
     rs, beta = oset.system, tuple(beta)
     if beta in rs.root_set:
         k = rs.roots.index(beta)
-        if rs._span_lanes(oset.thetas) >> 8 * k & 0x80:  # the set is checked orthogonal
+        offender = oset._lanes[0] >> 8 * k & 0x80
+        if offender or beta in oset.thetas or tuple(-x for x in beta) in oset.thetas:
             return oset._label(k)
     raise ValueError("beta is not a root in the span of the set")
 
 
 @lru_cache(maxsize=None)
-def _case(
-    proj: Tuple[int, ...], norms: Tuple[int, ...], long_norm: int, beta_long: bool
-) -> Tuple[str, Tuple[Fraction, ...]]:
-    """The case (the rules of _case_lanes on one lane) and coefficients
-    q_i = p_i / n_i of a root with projections p_i on roots of norms n_i:
-    one call per signature; cascade never calls it and loads no fractions."""
+def _coefficients(proj: Tuple[int, ...], norms: Tuple[int, ...]) -> Tuple[Fraction, ...]:
+    """q_i = p_i / n_i, one tuple per signature; cascade never labels a case
+    and loads no fractions."""
     from fractions import Fraction
 
-    support = [(abs(p), n) for p, n in zip(proj, norms) if p]
-    if not support:
-        raise ValueError("beta is zero")
-    halves = sum(2 * p == n for p, n in support)
-    ones = sum(p == n for p, n in support)
-    longs = sum(n == long_norm for _, n in support)
-    lanes = _case_lanes(0x80, 0x7F, (0x80, len(support), halves, ones, longs), 0x80 * beta_long)
-    case = "A1" if len(support) == 1 else next((c for c, m in zip(CASES, lanes) if m), None)
-    if case is None:
-        raise AssertionError(f"no case matches projections {proj} on norms {norms}")
-    return case, tuple(map(Fraction, proj, norms))
-
-
-def _case_lanes(high: int, low: int, lanes: Sequence[int], long_roots: int) -> List[int]:
-    """The offenders of each case of CASES[:6], from OrthogonalSet._lanes
-    and the lanes of long combinations; lanes are bytes below 128, and
-    high, low are 0x80.., 0x7f.. over them."""
-    offenders, support, halves, ones, longs = lanes
-    unit = high >> 7
-
-    def at(x: int, c: int) -> int:  # the lanes where x holds c
-        return high & ~((x ^ c * unit) + low)
-
-    triple, pair = (offenders & at(support, k) for k in (3, 2))
-    g2 = pair & at(longs, 1)
-    return [
-        offenders & at(support, 4) & at(halves, 4),  # D4
-        triple & at(halves, 2) & at(ones, 1) & at(longs, 2),  # B3
-        triple & at(halves, 3) & at(longs, 1),  # C3
-        pair & ~g2 & at(ones, 2) & long_roots,  # B2long
-        pair & ~g2 & at(halves, 2) & ~long_roots,  # B2short
-        g2,  # G2both
-    ]
+    return tuple(map(Fraction, proj, norms))
 
 
 def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
@@ -212,7 +205,7 @@ def height_of_sum(oset: OrthogonalSet) -> int:
     reduced, _, h_dom = oset._characteristic
     offenders, support, _, ones, _ = reduced._lanes
     # n_i | p_i iff p_i is 0 or +-n_i (|p_i| < 2 n_i): integral iff support = ones
-    integral = offenders & rs._zero_lanes(support - ones)
+    integral = offenders & rs._lanes_at(support - ones, 0)
     if integral:
         beta = rs.roots[next(rs._lanes_in_order(integral))]
         raise AssertionError(f"integral combination {beta} survives the reduction")
@@ -228,13 +221,10 @@ def _case_supports(oset: OrthogonalSet, case: str) -> List[Tuple[int, ...]]:
     +-theta_j for j outside S, and the coefficients are orthogonal
     projections, which do not depend on the other members of the set.
     """
-    return sorted(
-        {
-            tuple(i for i, q in enumerate(o.coefficients) if q)
-            for o in oset.offenders
-            if o.case == case
-        }
-    )
+    rs = oset.system
+    columns = [rs._column(t)[0] for t in oset.thetas]
+    lanes = rs._lanes_in_order(oset._cases.get(case, 0))
+    return sorted({tuple(i for i, p in enumerate(columns) if p[k]) for k in lanes})
 
 
 class SphericalVerdict(NamedTuple):
@@ -494,19 +484,13 @@ class ClassificationReport(NamedTuple):
 def classify(oset: OrthogonalSet) -> ClassificationReport:
     """Full report for an orthogonal set: its cases and rational orthogonality
     read off the lanes, one label built per case, no offender decoded."""
-    rs = oset.system
-    offenders = oset._lanes[0]
-    norms, high, low = rs._packed
-    cases = _case_lanes(high, low, oset._lanes, rs._zero_lanes(norms ^ rs.long_norm * (high >> 7)))
-    unmatched = offenders & ~reduce(or_, cases, 0)
-    if unmatched:  # _case raises with its projections
-        raise AssertionError(f"no case matches {oset._label(next(rs._lanes_in_order(unmatched)))}")
-    first = sorted(next(rs._lanes_in_order(lanes)) for lanes in cases if lanes)  # positive first
+    lanes_in_order = oset.system._lanes_in_order
+    first = sorted(next(lanes_in_order(lanes)) for lanes in oset._cases.values() if lanes)  # positive first
     verdict = is_spherical(oset)
     reduced, h, h_dom = oset._characteristic
     return ClassificationReport(
         oset=oset,
-        rationally_orthogonal=not offenders,
+        rationally_orthogonal=not oset._lanes[0],
         cases=[oset._label(k) for k in first],
         reduced_set=reduced,
         h=h,

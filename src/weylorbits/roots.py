@@ -372,13 +372,14 @@ class RootSystem:
         norms = [self.norms[t] for t in thetas]
         lcm = math.lcm(*norms)
         squares = sum(lcm // n * self._column(t)[1] for t, n in zip(thetas, norms))
-        return self._zero_lanes(lcm * self._packed[0] - squares)
+        return self._lanes_at(lcm * self._packed[0] - squares, 0)
 
-    def _zero_lanes(self, x: int) -> int:
-        """0x80 in each zero byte of x, whose bytes are below 128: adding 0x7f
-        sets a byte's high bit iff the byte is not 0, and carries no further."""
+    def _lanes_at(self, x: int, c: int) -> int:
+        """0x80 in each byte of x that equals c, the bytes of x and c below 128:
+        x ^ c.. is 0 in exactly those bytes, and adding 0x7f sets a byte's high
+        bit iff the byte is not 0, and carries no further."""
         _, high, low = self._packed
-        return high & ~(x + low)
+        return high & ~((x ^ c * (high >> 7)) + low)
 
     def _lanes_in_order(self, mask: int) -> Iterator[int]:
         """The k with byte k of mask set, in root order but the positive roots
@@ -402,7 +403,7 @@ class RootSystem:
                     proj = list(map(add, proj, map(mul, coords, repeat(b))))
             _, high, low = self._packed
             sq, n = int.from_bytes(bytes(map(mul, proj, proj)), "little"), self.norms[theta]
-            half, whole = (self._zero_lanes(sq ^ c * c * (high >> 7)) >> 7 for c in (n // 2, n))
+            half, whole = (self._lanes_at(sq, c * c) >> 7 for c in (n // 2, n))
             col = self._columns[theta] = (tuple(proj), sq, ((sq + low) & high) >> 7, half, whole)
         return col
 

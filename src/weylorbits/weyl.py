@@ -64,6 +64,7 @@ class WeylElement:
         return v
 
     def mul(self, other: "WeylElement") -> "WeylElement":
+        check_system(self.system, other)
         bonds = self.system.bonds
         x = self.x
         for i in reversed(other._letters()):

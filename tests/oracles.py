@@ -58,6 +58,10 @@ SYSTEMS_TO_12 = (
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
 
+# A3, D4, B3, C3, B2 and G2: they share the norm 2 (every root of A3 and D4,
+# the short roots of the others) but have long norms 2, 4 and 6
+LABEL_SYSTEMS = [("A", 3), ("D", 4), ("B", 3), ("C", 3), ("B", 2), ("G", 2)]
+
 
 def positive_definite(m: Sequence[Sequence[int]]) -> bool:
     """A symmetric matrix is positive definite iff every pivot of Gaussian

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from weylorbits import nilpotent as nil
 from weylorbits.cli import main
 from weylorbits.roots import build_root_system
 
-from oracles import orthogonal_subsets
+from oracles import LABEL_SYSTEMS, orthogonal_subsets
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
@@ -136,29 +137,18 @@ def test_poset_compare_and_orbits_goldens_enumerate_no_group():
     assert _replay([], ENUMERATION_CHILD, names) == (len(names), [], [])
 
 
-# The classify goldens of D4, B3, C3, B2 and G2, and the orthogonal sets of
-# A3: their systems share the theta norm 2 (every root of A3 and D4, the
-# short roots of the others) but have long norms 2, 4 and 6.
+# The classify goldens of D4, B3, C3, B2 and G2.
 LABEL_GOLDENS = [c for c in MANIFEST if re.match(r"classify-\d-", c["name"])]
-LABEL_SYSTEMS = [("A", 3), ("D", 4), ("B", 3), ("C", 3), ("B", 2), ("G", 2)]
-
-
-def _outcome(f, *args):
-    """f(*args), or the type of the exception it raises."""
-    try:
-        return f(*args)
-    except (ValueError, AssertionError) as exc:
-        return type(exc)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
-def test_label_memo_is_keyed_on_the_long_norm(order, capsys, monkeypatch):
-    # one process labels these systems in one order or the other, through
-    # one memo of (case, coefficients); the goldens must come out either
-    # way, and each signature met, asked again under every long norm, must
-    # get what the unmemoized function computes for that long norm
+def test_label_goldens_in_either_system_order(order, capsys, monkeypatch):
+    # one process labels these systems in one order or the other; the
+    # goldens must come out either way, and the one memo left, of the
+    # coefficients, must depend on its arguments alone: each signature met
+    # must get the quotients of its projections by its norms
     monkeypatch.delenv("WEYLORBITS_CAP", raising=False)
-    nil._case.cache_clear()
+    nil._coefficients.cache_clear()
     for case in LABEL_GOLDENS[::order]:
         assert main(case["argv"]) == case["exit"]
         with open(os.path.join(GOLDEN, case["name"]), "rb") as fh:
@@ -169,10 +159,7 @@ def test_label_memo_is_keyed_on_the_long_norm(order, capsys, monkeypatch):
         for thetas in orthogonal_subsets(rs, 4):
             norms = tuple(rs.norms[t] for t in thetas)
             for o in nil.orthogonal_set(rs, thetas).offenders:
-                proj = tuple(int(q * n) for q, n in zip(o.coefficients, norms))
-                signatures.add((proj, norms, rs.norms[o.beta] == rs.long_norm))
+                signatures.add((tuple(int(q * n) for q, n in zip(o.coefficients, norms)), norms))
     assert len(signatures) > 20
-    for proj, norms, beta_long in sorted(signatures)[::order]:
-        for long_norm in (2, 4, 6)[::order]:
-            args = (proj, norms, long_norm, beta_long)
-            assert _outcome(nil._case, *args) == _outcome(nil._case.__wrapped__, *args), args
+    for proj, norms in sorted(signatures)[::order]:
+        assert nil._coefficients(proj, norms) == tuple(map(Fraction, proj, norms)), (proj, norms)

@@ -33,8 +33,10 @@ from weylorbits.weyl import from_word, reflection
 
 from oracles import (
     ALL_SYSTEMS,
+    LABEL_SYSTEMS,
     SYSTEMS_TO_12,
     cascade_chains,
+    case_by_counts,
     chain_cascade_by_pool,
     classify_by_members,
     involution_element,
@@ -738,6 +740,41 @@ def test_classify_combination_checks_no_orthogonality(monkeypatch):
         with pytest.raises(ValueError, match=r"^beta is not a root in the span of the set$"):
             classify_combination(pair, beta)
     assert calls == []
+
+
+def test_classify_combination_labels_the_span_with_no_scan(monkeypatch):
+    # membership is read from the offender lane of the set, once scanned,
+    # and from its members: labelling every root of the span makes no
+    # further _span_lanes call (it made one per call before)
+    calls = []
+    span_lanes = RootSystem._span_lanes
+
+    def counting(self, thetas):
+        calls.append(tuple(thetas))
+        return span_lanes(self, thetas)
+
+    monkeypatch.setattr(RootSystem, "_span_lanes", counting)
+    sets, labels = 0, []
+    for family, rank in LABEL_SYSTEMS:
+        rs = build_root_system(family, rank)
+        for thetas in orthogonal_subsets(rs, 4):
+            norms = tuple(rs.norms[t] for t in thetas)
+            span = [(g, q) for g in rs.roots for q in [projection_span_membership(rs, thetas, g)] if q]
+            oset = orthogonal_set(rs, thetas)
+            oset.offenders  # the one scan of the set
+            calls.clear()
+            for gamma, coeffs in span:
+                if gamma in thetas or neg(gamma) in thetas:
+                    case = "A1"
+                else:
+                    proj = tuple(rs.form(gamma, t) for t in thetas)
+                    case = case_by_counts(proj, norms, rs.long_norm, rs.norms[gamma] == rs.long_norm)
+                assert classify_combination(oset, gamma) == (case, gamma, coeffs), (thetas, gamma)
+                labels.append(case)
+            assert calls == [], thetas
+            sets += 1
+    assert (sets, len(labels)) == (119, 660)
+    assert set(labels) == set(CASES)
 
 
 def _faults():

@@ -138,6 +138,17 @@ def test_right_weak(a3, ga3):
                 assert ga3.bruhat_leq(v, w)
 
 
+def test_products_refuse_elements_of_another_system(a3):
+    # A3 and B3 share the keys of s1 and of s3 s2, and their product was read
+    # as an element of A3; the weak order compared across systems the same way
+    b3 = build_root_system("B", 3)
+    u, v = from_word(a3, [1]), from_word(b3, [3, 2])
+    for product in (lambda: u * v, lambda: u.mul(v), lambda: right_weak_leq(u, from_word(b3, [1]))):
+        with pytest.raises(ValueError, match=r"^element of another root system$"):
+            product()
+    assert repr(u * from_word(a3, [3, 2])) == "s1 s3 s2"
+
+
 def test_parabolic_decompose(a3, ga3):
     up, lo = parabolic_decompose(from_word(a3, [2, 1]), [1])
     assert (up.reduced_word(), lo.reduced_word()) == ((2,), (1,))
