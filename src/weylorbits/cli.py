@@ -335,10 +335,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     pairs_nr = [_parse_nr(args.nr)] if args.nr else [(4, 2), (5, 2)]
     coxeter = args.coxeter or "A3"
-    try:
-        family, rank = coxeter[0].upper(), int(coxeter[1:])
-    except ValueError as exc:
-        raise UsageError(f"cannot parse --coxeter {coxeter!r}; expected e.g. B3") from exc
+    family, digits = coxeter[0].upper(), coxeter[1:]
+    if not (digits.isascii() and digits.isdigit()):  # int() would take signs, spaces and other digits
+        raise UsageError(f"cannot parse --coxeter {coxeter!r}; expected e.g. B3")
+    rank = int(digits)
     if any(r < 1 or 2 * r > n for n, r in pairs_nr):
         raise UsageError("need 1 <= 2r <= n")
     try:
@@ -374,7 +374,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         (f"{wp} vs {w}" for w in nodes for wp in nodes if wp.length() == w.length() - 1 and not covers_agree(wp, w)),
         None,
     )
-    check(f"cover equivalence ({coxeter})", bad is None, str(bad))
+    check(f"cover equivalence ({family}{rank})", bad is None, str(bad))
     if failures:
         print("failed: " + ", ".join(failures))
         return EXIT_FAIL

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .roots import build_root_system
 from .quotient import IJKDatum
-from .weyl import parabolic_decompose, to_line_notation
+from .weyl import to_line_notation
 
 Arrow = Tuple[int, int]
 
@@ -37,8 +37,6 @@ class OrientedLinkPattern:
                 if v in touched:
                     raise ValueError(f"vertex {v} touches more than one arrow")
                 touched.add(v)
-        if 2 * len(arrows) > n:
-            raise ValueError("too many arrows")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OrientedLinkPattern) and (self.n, self.arrows) == (other.n, other.arrows)
@@ -92,14 +90,14 @@ def perm_from_olp(d: OrientedLinkPattern) -> Tuple[int, ...]:
 
 
 def all_patterns(n: int, r: int) -> List[OrientedLinkPattern]:
-    """All of D_{n,r}, ordered by sorted arrow list."""
+    """All of D_{n,r}, each made once, ordered by sorted arrow list."""
     out = []
     for verts in combinations(range(1, n + 1), 2 * r):
         for sources in combinations(verts, r):
             rest = [v for v in verts if v not in sources]
             for targets in permutations(rest):
                 out.append(olp(n, list(zip(sources, targets))))
-    return sorted(set(out), key=lambda d: d.sorted_arrows())
+    return sorted(out, key=lambda d: d.sorted_arrows())
 
 
 def count_patterns(n: int, r: int) -> int:
@@ -281,18 +279,13 @@ def orbit_pair_params(
         # I = J = {} and K = {1..n-1}: a single coset, the identity row
         line = tuple(range(1, n + 1))
         return [((line, line), line, base)]
-    datum = type_a_datum(n, r)
     out = []
-    for node in datum.quotient_elements():
-        # w = w1 w2 with w2 in W_I
-        w1, w2 = parabolic_decompose(node.rep, datum.L)
-        if not set(w2.reduced_word()) <= set(datum.I):
-            raise AssertionError("W_L part of a quotient element is not in W_I")
-        out.append(
-            (
-                tuple(_inverse_line(to_line_notation(v)) for v in (w1, w2)),
-                to_line_notation(node.rep),
-                node.length() + base,  # l(w) = l(w1) + l(w2)
-            )
-        )
+    for node in type_a_datum(n, r).quotient_elements():
+        # w = w1 w2, w2 in W_I = S_r on positions 1..r: the J and K blocks of
+        # w increase (no right descent in J u K), so w1 is w with its first r
+        # entries sorted, and w2^-1 lists those r positions by their values
+        line = to_line_notation(node.rep)
+        w1 = tuple(sorted(line[:r])) + line[r:]
+        w2inv = _inverse_line(line[:r]) + tuple(range(r + 1, n + 1))
+        out.append(((_inverse_line(w1), w2inv), line, node.length() + base))  # l(w) = l(w1) + l(w2)
     return out

@@ -12,7 +12,6 @@ W^{J u K} is enumerated as an orbit on its own, so W is never enumerated.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .roots import Coords, RootSystem, coweight_reflect, strip_descents
@@ -169,25 +168,18 @@ class IJKDatum:
         check_system(self.system, w)
         return QuotientElement(self, self._element(self._rep_key(w.x)))
 
-    @cached_property
-    def _nodes(self) -> List["QuotientElement"]:
-        """W^{J u K} as the orbit of lambda = sum of the fundamental coweights
-        outside J u K, whose stabilizer is W_{J u K}: w <-> mu = w(lambda).
-        The left descents of w are the i with mu_i < 0, so stripping them
-        spells the lexicographically least reduced word of w, and replaying
-        that word from rho^vee gives the key."""
+    def quotient_elements(self) -> List["QuotientElement"]:
+        """All of W(I,J,K) = W^{J u K}, by (length, reduced word), as the
+        orbit of lambda = sum of the fundamental coweights outside J u K,
+        whose stabilizer is W_{J u K}: w <-> mu = w(lambda). The left
+        descents of w are the i with mu_i < 0, so stripping them spells the
+        lexicographically least reduced word of w, and replaying that word
+        from rho^vee gives the key."""
         rs = self.system
         lam = tuple(0 if i + 1 in self._jk else 1 for i in range(rs.rank))
-        nodes = []
-        for mu in _orbit(rs.bonds, lam, range(rs.rank)):
-            word = tuple(strip_descents(rs.bonds, mu)[0])
-            nodes.append((len(word), word))
-        nodes.sort()
-        return [QuotientElement(self, self._element(from_word(rs, w).x, n, w)) for n, w in nodes]
-
-    def quotient_elements(self) -> List["QuotientElement"]:
-        """All of W(I,J,K) = W^{J u K}, by (length, reduced word)."""
-        return list(self._nodes)
+        words = [tuple(strip_descents(rs.bonds, mu)[0]) for mu in _orbit(rs.bonds, lam, range(rs.rank))]
+        words.sort(key=lambda w: (len(w), w))
+        return [QuotientElement(self, self._element(from_word(rs, w).x, len(w), w)) for w in words]
 
     # -- membership in the union of Min sets ---------------------------------
 

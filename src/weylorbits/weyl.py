@@ -250,8 +250,8 @@ class WeylGroup:
     Construction checks |W|, the product of the degrees, against the cap
     (roots.capped_order) and enumerates nothing. `lengths` maps each key to
     the length of its element and `elements` lists the group breadth-first
-    by length; both are built on first use. Bruhat order needs no
-    enumeration.
+    by length; both are built on first use. Bruhat order and covers need
+    no enumeration.
     """
 
     DEFAULT_CAP = DEFAULT_CAP  # roots.DEFAULT_CAP, the CLI's default too
@@ -284,11 +284,11 @@ class WeylGroup:
         return bruhat_leq_keys(self.system.bonds, u.x, u.length(), w.x, w.length())
 
     def bruhat_covers_below(self, w: WeylElement) -> List[WeylElement]:
-        """All u covered by w: the u = w s_beta (beta > 0) one shorter than w."""
+        """All u covered by w: each u = w s_beta (beta > 0) of length l(w) - 1."""
         check_system(self.system, w)
-        target = self.lengths[w.x] - 1
-        keys = shorter_reflections(self.system, w.x)
-        return [_known(self.system, u, target) for u in keys if self.lengths[u] == target]
+        target = w.length() - 1
+        candidates = (WeylElement(self.system, u) for u in shorter_reflections(self.system, w.x))
+        return [u for u in candidates if u.length() == target]
 
     def subgroup_elements(self, L: Iterable[int]) -> List[WeylElement]:
         """All elements of the standard parabolic W_L, breadth-first by length."""

@@ -13,11 +13,13 @@ from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from weylorbits.linkpatterns import (
     OrientedLinkPattern,
+    _inverse_line,
     _truncation_rows,
     matrix_from_olp,
     q_table,
     rank_table,
     seq_S,
+    type_a_datum,
 )
 from weylorbits.nilpotent import (
     CascadeNode,
@@ -35,9 +37,12 @@ from weylorbits.weyl import (
     WeylGroup,
     from_word,
     identity,
+    parabolic_decompose,
     parabolic_elements,
     reflection,
+    shorter_reflections,
     simple_indices,
+    to_line_notation,
 )
 
 # every supported (family, rank) of rank at most 8
@@ -166,13 +171,16 @@ def quotient_elements_by_group(datum: IJKDatum) -> List[WeylElement]:
 
 def covers_O_below_by_group(w: QuotientElement) -> List[WeylElement]:
     """The representatives covered by w: the Bruhat covers of w.rep in the
-    whole group that are as short as the representative of their coset."""
-    datum, group = w.datum, w.datum.group
+    whole group (the w s_beta one shorter than w, by the group's length
+    table) that are as short as the representative of their coset."""
+    datum, lengths = w.datum, w.datum.group.lengths
+    target = lengths[w.rep.x] - 1
     out: List[WeylElement] = []
-    for u in group.bruhat_covers_below(w.rep):
-        rep = datum.canonical_rep(u).rep
-        if group.lengths[rep.x] == group.lengths[u.x] and rep not in out:
-            out.append(rep)
+    for x in shorter_reflections(datum.system, w.rep.x):
+        if lengths[x] == target:
+            rep = datum.canonical_rep(WeylElement(datum.system, x)).rep
+            if lengths[rep.x] == target and rep not in out:
+                out.append(rep)
     return out
 
 
@@ -724,7 +732,7 @@ def chain_cascade_by_pool(system: RootSystem, max_depth: Optional[int] = None) -
     return grow((), list(system.roots), 0)
 
 
-# -- the retired routes of the Levi report and the pattern orders ----------------
+# -- the retired routes of the Levi report, the pattern orders and the orbit rows -
 
 
 def levi_action_by_reflections(oset: OrthogonalSet) -> Tuple[Tuple[int, ...], Dict[int, Coords]]:
@@ -760,6 +768,22 @@ def leq_seq_pairwise(wp: Sequence[int], w: Sequence[int], r: int) -> bool:
             if sum(1 for x in head_p if x > j) > sum(1 for x in head if x > j):
                 return False
     return True
+
+
+def orbit_pair_params_by_decomposition(n: int, r: int) -> List[Tuple]:
+    """The rows ((w1^-1, w2^-1), w, dim) of linkpatterns.orbit_pair_params
+    for r >= 1, with w = w1 w2 factored by weyl.parabolic_decompose over
+    L = I u J u K, and w2 checked to lie in W_I by its reduced word."""
+    datum = type_a_datum(n, r)
+    base = r * (r - 1) // 2 + (n - 2 * r) * (n - 2 * r - 1) // 2
+    out = []
+    for node in datum.quotient_elements():
+        w1, w2 = parabolic_decompose(node.rep, datum.L)
+        if not set(w2.reduced_word()) <= set(datum.I) or w1.length() + w2.length() != node.length():
+            raise AssertionError("W_L part of a quotient element is not in W_I, or lengths do not add")
+        inverses = tuple(_inverse_line(to_line_notation(v)) for v in (w1, w2))
+        out.append((inverses, to_line_notation(node.rep), node.length() + base))
+    return out
 
 
 # -- the per-member labelling that the lane counts of nilpotent replace --------

@@ -265,6 +265,25 @@ def test_selftest_coxeter_without_index_3(capsys):
 
 
 @pytest.mark.parametrize(
+    "coxeter", ["B_3", "B+3", "B3 ", " B3", "B\u00b3", "B\u0663", "B"],
+    ids=["underscore", "sign", "trailing-space", "leading-space", "superscript", "arabic-indic", "no-rank"],
+)
+def test_selftest_coxeter_rank_is_ascii_digits(capsys, coxeter):
+    code, out, err = run(capsys, "selftest", "--coxeter", coxeter)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse --coxeter {coxeter!r}; expected e.g. B3\n"
+
+
+@pytest.mark.parametrize("coxeter", ["b3", "B03"])
+def test_selftest_prints_the_normalized_coxeter_name(capsys, coxeter):
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "selftest-coxeter-B3.text")
+    with open(golden, encoding="utf-8") as fh:
+        expected = fh.read()
+    code, out, _ = run(capsys, "selftest", "--coxeter", coxeter)
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("classify", "--type", "E", "--rank", "9", "1 0 0 0 0 0 0 0 0"),

@@ -1,10 +1,13 @@
+import ast
+import inspect
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylorbits import linkpatterns, weyl
 from weylorbits.linkpatterns import (
     OrientedLinkPattern,
     all_patterns,
@@ -32,6 +35,7 @@ from oracles import (
     leq_D_pairwise,
     leq_rank_pairwise,
     leq_seq_pairwise,
+    orbit_pair_params_by_decomposition,
     p_stat,
     q_stat,
     q_stat_linear_algebra,
@@ -327,6 +331,55 @@ def test_orbit_pair_params():
                 assert sum(1 for _, _, dim in params if dim == full) == 1
     # r = 0 is the single zero orbit
     assert orbit_pair_params(3, 0) == [(((1, 2, 3), (1, 2, 3)), (1, 2, 3), 3)]
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 9) for r in range(1, n // 2 + 1)])
+def test_orbit_pair_params_equals_the_decomposition_oracle(n, r):
+    assert orbit_pair_params(n, r) == orbit_pair_params_by_decomposition(n, r)
+
+
+def test_orbit_pair_params_reads_line_notation_only(monkeypatch):
+    """The rows come from the line notation of each quotient element: no
+    parabolic factorization and no reduced word is computed."""
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(weyl, "parabolic_decompose", refuse)
+    monkeypatch.setattr(weyl.WeylElement, "reduced_word", refuse)
+    for n, r in [(4, 2), (6, 2), (7, 3)]:
+        assert len(orbit_pair_params(n, r)) == count_patterns(n, r)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(linkpatterns)))
+        if isinstance(node, ast.ImportFrom) and node.module == "weyl"
+        for alias in node.names
+    ]
+    assert imported == ["to_line_notation"]
+
+
+def test_an_arrow_too_many_shares_a_vertex():
+    """More than n/2 arrows cannot all have distinct endpoints, so the
+    per-vertex check refuses every such set."""
+    for n in range(2, 6):
+        arrows = [(s, t) for s in range(1, n + 1) for t in range(1, n + 1) if s != t]
+        for chosen in combinations(arrows, n // 2 + 1):
+            with pytest.raises(ValueError, match=r"^vertex \d+ touches more than one arrow$"):
+                olp(n, chosen)
+
+
+def test_pattern_and_permutation_size_errors():
+    with pytest.raises(ValueError, match="^patterns on different vertex sets$"):
+        leq_D(olp(4, [(1, 2)]), olp(5, [(1, 2)]))
+    with pytest.raises(ValueError, match="^patterns on different vertex sets$"):
+        leq_rank(olp(4, [(1, 2)]), olp(5, [(1, 2)]))
+    with pytest.raises(ValueError, match="^permutations of different sizes$"):
+        leq_seq((1, 2, 3, 4), (1, 2, 3, 4, 5), 1)
+    with pytest.raises(ValueError, match=r"^input is not a permutation of 1\.\.n$"):
+        olp_from_perm((1, 1, 2, 3), 1)
+    for n in (2, 5):
+        with pytest.raises(ValueError, match="^need 1 <= 2r <= n$"):
+            type_a_datum(n, 0)
 
 
 def test_q_table_shape():

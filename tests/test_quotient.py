@@ -63,6 +63,30 @@ def test_datum_validation(a3):
             IJKDatum(build_root_system(family, rank), I=I, J=J)
 
 
+def test_star_is_required_when_I_and_J_differ_in_size():
+    with pytest.raises(ValueError, match=r"^star map required when \|I\| != \|J\|$"):
+        check_datum(3, cartan_entries("A", 3), [1], [], [3])
+    with pytest.raises(ValueError, match=r"^star map required when \|I\| != \|J\|$"):
+        IJKDatum(build_root_system("A", 5), I=[1, 2], J=[5])
+
+
+def test_quotient_element_hash_and_repr(datum, a3):
+    node = datum.canonical_rep(from_word(a3, [2, 1]))
+    again = QuotientElement(datum, from_word(a3, [2, 1]))
+    assert node == again and hash(node) == hash(again) == hash(node.rep)
+    assert len({node, again, datum.canonical_rep(identity(a3))}) == 2
+    assert repr(node) == repr(node.rep) == "s2 s1"
+    assert repr(datum.canonical_rep(identity(a3))) == "e"
+
+
+def test_quotient_elements_are_made_per_call(datum):
+    """The datum keeps no list of its quotient: each call makes a new one,
+    equal to the last."""
+    assert not hasattr(IJKDatum, "_nodes")
+    first, second = datum.quotient_elements(), datum.quotient_elements()
+    assert first == second and first is not second
+
+
 def test_star_extend(datum, a3):
     assert datum.star_extend(identity(a3)).is_identity()
     assert datum.star_extend(from_word(a3, [1])) == from_word(a3, [3])

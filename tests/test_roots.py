@@ -134,6 +134,12 @@ def test_pairing_bilinearity():
                 assert b3.pairing(s, c) == b3.pairing(a, c) + b3.pairing(b, c)
 
 
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_simple_root_out_of_range(i):
+    with pytest.raises(IndexError, match=f"^simple index {i} out of range$"):
+        build_root_system("B", 3).simple_root(i)
+
+
 def test_reflect_basics():
     b2 = build_root_system("B", 2)
     for a in b2.roots:

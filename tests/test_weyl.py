@@ -125,6 +125,30 @@ def test_covers(a3, ga3):
         assert {action_matrix(u) for u in ga3.bruhat_covers_below(w)} == expected
 
 
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_covers_are_the_bruhat_lower_elements_one_shorter(family):
+    group = WeylGroup(build_root_system(family, 3))
+    for w in group.elements:
+        expected = {u for u in group.elements if group.bruhat_leq(u, w) and u.length() == w.length() - 1}
+        assert set(group.bruhat_covers_below(w)) == expected
+
+
+def test_covers_enumerate_no_group():
+    """A covers query reads each candidate's length from its key."""
+    group = WeylGroup(build_root_system("E", 6))
+    w = from_word(group.system, [1, 3, 4, 2, 5, 4, 6, 5, 4])
+    covers = group.bruhat_covers_below(w)
+    assert "lengths" not in vars(group) and "elements" not in vars(group)
+    assert covers and all(u.length() == w.length() - 1 and group.bruhat_leq(u, w) for u in covers)
+
+
+def test_line_notation_needs_type_a():
+    b3 = build_root_system("B", 3)
+    for call in (lambda: from_line_notation(b3, (1, 2, 3, 4)), lambda: to_line_notation(identity(b3))):
+        with pytest.raises(ValueError, match="^line notation is defined for type A only$"):
+            call()
+
+
 def test_right_weak(a3, ga3):
     for w in ga3.elements:
         assert right_weak_leq(identity(a3), w)
