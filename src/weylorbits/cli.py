@@ -279,6 +279,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     if r:
         _capped_systems(("A", n - 1))  # the datum of orbit_pair_params
     params = lp.orbit_pair_params(n, r)
+    offset = lp.z_orbit_offset(n, r)
     rows = []
     for (w1inv, w2inv), line, zdim in params:
         d = lp.olp_from_perm(line, r)
@@ -287,12 +288,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
                 "w": list(line),
                 "arrows": [list(a) for a in d.sorted_arrows()],
                 "S_w": list(lp.seq_S(line, r)),
-                "length": sum(
-                    1
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                    if line[i] > line[j]
-                ),
+                "length": zdim - offset,
                 "b_orbit_dimension": lp.orbit_dimension(d),
                 "z_params": [list(w1inv), list(w2inv)],
                 "z_orbit_dimension": zdim,

@@ -266,15 +266,20 @@ def _inverse_line(line: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(sorted(range(1, len(line) + 1), key=lambda i: line[i - 1]))
 
 
+def z_orbit_offset(n: int, r: int) -> int:
+    """r(r-1)/2 + (n-2r)(n-2r-1)/2: the dimension of the Z-orbit of w minus l(w)."""
+    return r * (r - 1) // 2 + (n - 2 * r) * (n - 2 * r - 1) // 2
+
+
 def orbit_pair_params(
     n: int, r: int
 ) -> List[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...], int]]:
     """Orbit parameters ((w1^-1, w2^-1), w, dim) for every w in W(I,J,K).
 
-    The dimension is l(w1) + l(w2) + r(r-1)/2 + (n-2r)(n-2r-1)/2.
+    The dimension is l(w) + z_orbit_offset(n, r), and l(w) = l(w1) + l(w2).
     """
     _check_r(n, r)
-    base = r * (r - 1) // 2 + (n - 2 * r) * (n - 2 * r - 1) // 2
+    base = z_orbit_offset(n, r)
     if r == 0:
         # I = J = {} and K = {1..n-1}: a single coset, the identity row
         line = tuple(range(1, n + 1))

@@ -10,9 +10,9 @@ reports the Levi + involution data attached to the set.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
-from itertools import combinations
-from operator import add, or_
+from functools import lru_cache, reduce
+from itertools import combinations, repeat
+from operator import add, mul, or_, sub
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .roots import Coords, Coweight, RootSystem
@@ -21,6 +21,24 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 CASES = ("D4", "B3", "C3", "B2long", "B2short", "G2both", "A1")
+
+
+class _lazy:
+    """An attribute computed on first read and kept in the instance's
+    __dict__, where later reads find it. Unlike functools.cached_property up
+    to Python 3.11 it takes no lock; threads that race compute equal values."""
+
+    def __init__(self, fn: Callable):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner: Optional[type] = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class OrthogonalSet:
@@ -44,17 +62,23 @@ class OrthogonalSet:
         return len(self.thetas)
 
     def coroot_sum(self) -> Coweight:
-        rs = self.system
-        columns = (rs.coroot(t).coords for t in self.thetas)
-        return Coweight(tuple(map(sum, zip((0,) * rs.rank, *columns))))
+        return self._coroot_columns[1]
 
-    @cached_property
+    @_lazy
+    def _coroot_columns(self) -> Tuple[List[Coords], Coweight]:
+        """The coroots theta_i^vee, as their values on the simple roots, and
+        their sum h."""
+        rs = self.system
+        columns = [rs.coroot(t).coords for t in self.thetas]
+        return columns, Coweight(tuple(map(sum, zip((0,) * rs.rank, *columns))))
+
+    @_lazy
     def offenders(self) -> Tuple[CaseLabel, ...]:
         """The roots of span_Q(thetas) other than the +-theta_i, labelled,
         positive roots first and each part in root order; decoded on first read."""
         return tuple(map(self._label, self.system._lanes_in_order(self._lanes[0])))
 
-    @cached_property
+    @_lazy
     def _lanes(self) -> Tuple[int, int, int, int, int]:
         """(offenders, support, halves, ones, longs), one byte per root gamma:
         0x80 where gamma is an offender, then the numbers of i with p_i != 0,
@@ -69,21 +93,26 @@ class OrthogonalSet:
             offenders, *counts = parent._lanes
             dropped = sum(rs._column(t)[2] for t in parent.thetas if t not in self.thetas)
             return (offenders & rs._lanes_at(dropped, 0), *counts)
-        columns = [rs._column(t) for t in self.thetas]
-        support, halves, ones = (sum(c[j] for c in columns) for j in (2, 3, 4))
-        longs = sum(c[2] for t, c in zip(self.thetas, columns) if rs.norms[t] == rs.long_norm)
+        support = halves = ones = longs = 0
+        for t in self.thetas:
+            _, _, nonzero, half, whole = rs._column(t)
+            support, halves, ones = support + nonzero, halves + half, ones + whole
+            if rs.norms[t] == rs.long_norm:
+                longs += nonzero
         offenders = rs._span_lanes(self.thetas) & ~rs._lanes_at(support, 1)  # not +-theta_i
         return offenders, support, halves, ones, longs
 
-    @cached_property
+    @_lazy
     def _cases(self) -> Dict[str, int]:
         """The offenders of each case of CASES[:6], as lanes: zero-lane tests
         on the counts of _lanes, and on the norm of the combination for the
-        B2 cases. An offender in no case is an AssertionError."""
+        B2 cases; empty when there is no offender. An offender in no case is
+        an AssertionError."""
         rs = self.system
         offenders, support, halves, ones, longs = self._lanes
-        at = rs._lanes_at
-        long_roots = at(rs._packed[0], rs.long_norm)
+        if not offenders:
+            return {}
+        at, long_roots = rs._lanes_at, rs._long_lanes
         triple, pair = (offenders & at(support, k) for k in (3, 2))
         g2 = pair & at(longs, 1)
         cases = dict(zip(CASES, (
@@ -111,13 +140,22 @@ class OrthogonalSet:
         case = next((c for c, lanes in self._cases.items() if lanes >> 8 * k & 0x80), "A1")
         return CaseLabel(case, self.system.roots[k], _coefficients(*self._projections(k)))
 
-    @cached_property
-    def _characteristic(self) -> Tuple[OrthogonalSet, Coweight, Coweight]:
-        """The B2-long-reduced set, its coroot sum h and the dominant conjugate
-        of h (the characteristic of e), computed once per set."""
+    @_lazy
+    def _characteristic(self) -> Tuple[OrthogonalSet, Coweight, Coweight, int]:
+        """The B2-long-reduced set, its coroot sum h, the dominant conjugate
+        of h (the characteristic of e) and the height of e, the value of the
+        dominant conjugate on the highest root; computed once per set."""
+        rs = self.system
         reduced = reduce_b2long(self)
-        h = reduced.coroot_sum()
-        return reduced, h, self.system.dominantize(h)[0]
+        offenders, support, _, ones, _ = reduced._lanes
+        # n_i | p_i iff p_i is 0 or +-n_i (|p_i| < 2 n_i): integral iff support = ones
+        integral = offenders and offenders & rs._lanes_at(support - ones, 0)
+        if integral:
+            beta = rs.roots[next(rs._lanes_in_order(integral))]
+            raise AssertionError(f"integral combination {beta} survives the reduction")
+        h = reduced._coroot_columns[1]
+        h_dom = rs.dominantize(h)[0]
+        return reduced, h, h_dom, rs.coweight_value(h_dom, rs.highest_root)
 
 
 def orthogonal_set(system: RootSystem, thetas: Sequence[Sequence[int]]) -> OrthogonalSet:
@@ -185,8 +223,12 @@ def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
     """Keep each member, in order, that is strongly orthogonal to every member
     kept before it: of each pair whose sum is a root, the higher index is
     dropped (s_b(a + b) = a - b for orthogonal a, b, so one probe decides).
-    The reduced set reads its lanes off this one (OrthogonalSet._lanes)."""
+    Such a sum is a B2-long offender, so a set with none is its own
+    reduction. The reduced set reads its lanes off this one
+    (OrthogonalSet._lanes)."""
     rs = oset.system
+    if not oset._cases.get("B2long"):
+        return oset
     kept: List[Coords] = []
     for t in oset.thetas:
         if all(tuple(map(add, t, k)) not in rs.root_set for k in kept):
@@ -201,15 +243,7 @@ def reduce_b2long(oset: OrthogonalSet) -> OrthogonalSet:
 def height_of_sum(oset: OrthogonalSet) -> int:
     """Height of e = sum of root vectors: the value of the dominant conjugate
     of the coroot sum on the highest root, after B2-long reduction."""
-    rs = oset.system
-    reduced, _, h_dom = oset._characteristic
-    offenders, support, _, ones, _ = reduced._lanes
-    # n_i | p_i iff p_i is 0 or +-n_i (|p_i| < 2 n_i): integral iff support = ones
-    integral = offenders & rs._lanes_at(support - ones, 0)
-    if integral:
-        beta = rs.roots[next(rs._lanes_in_order(integral))]
-        raise AssertionError(f"integral combination {beta} survives the reduction")
-    return rs.coweight_value(h_dom, rs.highest_root)
+    return oset._characteristic[3]
 
 
 def _case_supports(oset: OrthogonalSet, case: str) -> List[Tuple[int, ...]]:
@@ -400,31 +434,33 @@ def levi_and_involution(oset: OrthogonalSet) -> InvolutionReport:
     """Levi simple roots (h = 0 wall), the action of s_{theta_1}...s_{theta_r}
     on them, and the folded type after identifying negated-swapped components.
     The thetas are orthogonal, so the product sends alpha_i to alpha_i - sum_j
-    <alpha_i, theta_j^vee> theta_j, read off the kept coroots theta_j^vee."""
+    <alpha_i, theta_j^vee> theta_j, read off the set's coroots theta_j^vee.
+    It negates h, so an image -alpha_j has h(alpha_j) = 0: j is in the Levi."""
     rs = oset.system
-    columns = [rs.coroot(t).coords for t in oset.thetas]
-    levi = tuple(i for i, c in enumerate(map(sum, zip((0,) * rs.rank, *columns)), 1) if c == 0)
+    columns, h = oset._coroot_columns
+    negated = rs._negated_simple
     action = {}
-    for i in levi:
-        image = rs.simple_root(i)
-        for t, col in zip(oset.thetas, columns):
-            if col[i - 1]:
-                image = tuple(x - col[i - 1] * y for x, y in zip(image, t))
-        action[i] = image
     fixed = []
     swaps = []
     other = []
-    neg_simple = {tuple(-x for x in rs.simple_root(j)): j for j in levi}
-    for i in levi:
-        img = action[i]
-        if img == rs.simple_root(i):
+    for i, value in enumerate(h.coords, 1):
+        if value:
+            continue
+        image = simple = rs._simple_roots[i - 1]
+        for t, col in zip(oset.thetas, columns):
+            c = col[i - 1]
+            if c:
+                image = tuple(map(sub, image, map(mul, repeat(c), t)))
+        action[i] = image
+        if image == simple:
             fixed.append(i)
-        elif img in neg_simple:
-            j = neg_simple[img]
+        elif image in negated:
+            j = negated[image]
             if (j, i) not in swaps:
                 swaps.append((i, j))
         else:
             other.append(i)
+    levi = tuple(action)
     folded = _folded_type(rs, levi, fixed, swaps, other)
     return InvolutionReport(
         levi_simple_roots=levi,
@@ -483,20 +519,14 @@ class ClassificationReport(NamedTuple):
 
 def classify(oset: OrthogonalSet) -> ClassificationReport:
     """Full report for an orthogonal set: its cases and rational orthogonality
-    read off the lanes, one label built per case, no offender decoded."""
-    lanes_in_order = oset.system._lanes_in_order
-    first = sorted(next(lanes_in_order(lanes)) for lanes in oset._cases.values() if lanes)  # positive first
-    verdict = is_spherical(oset)
-    reduced, h, h_dom = oset._characteristic
+    read off the lanes, one label built per case, no offender decoded, and
+    the height read off the set's characteristic."""
+    rs = oset.system
+    # the first offender of each case, positive roots first
+    first = sorted((next(rs._lanes_in_order(lanes)), case) for case, lanes in oset._cases.items() if lanes)
+    labels = [CaseLabel(case, rs.roots[k], _coefficients(*oset._projections(k))) for k, case in first]
+    reduced, h, h_dom, height = oset._characteristic
+    # the fields in order: positional arguments cost half as much as keywords
     return ClassificationReport(
-        oset=oset,
-        rationally_orthogonal=not oset._lanes[0],
-        cases=[oset._label(k) for k in first],
-        reduced_set=reduced,
-        h=h,
-        h_dominant=h_dom,
-        height=verdict.height,
-        spherical=verdict.spherical,
-        dynkin_labels=h_dom.coords,
-        orbit_type_rank=reduced.r,
+        oset, not oset._lanes[0], labels, reduced, h, h_dom, height, height <= 3, h_dom.coords, reduced.r
     )

@@ -329,7 +329,7 @@ class RootSystem:
 
     def coweight_value(self, h: Coweight, v: Coords) -> int:
         """Value of h on a root-lattice element v."""
-        return sum(c * x for c, x in zip(h.coords, v))
+        return sum(map(mul, h.coords, v))
 
     def reflect_coweight(self, h: Coweight, i: int) -> Coweight:
         """s_{alpha_i} acting on a coweight, 0-based i."""
@@ -417,6 +417,14 @@ class RootSystem:
         n = len(self.roots)
         packed = (bytes(self.norms[b] for b in self.roots), b"\x80" * n, b"\x7f" * n)
         return tuple(int.from_bytes(x, "little") for x in packed)
+
+    # 0x80 in the byte of each long root
+    _long_lanes = cached_property(lambda self: self._lanes_at(self._packed[0], self.long_norm))
+
+    @cached_property
+    def _negated_simple(self) -> Dict[Coords, int]:
+        """-alpha_j -> j (1-based) for every simple root alpha_j."""
+        return {tuple(-x for x in a): j for j, a in enumerate(self._simple_roots, 1)}
 
 
 # One RootSystem per (family, rank) and process; weyl.weyl_group keeps the

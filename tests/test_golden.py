@@ -4,6 +4,7 @@ The corpus was recorded by tests/golden/record.py; see its docstring.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -22,6 +23,28 @@ from oracles import LABEL_SYSTEMS, orthogonal_subsets
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
     MANIFEST = json.load(_fh)
+
+
+def _load_census_recorder():
+    path = os.path.join(GOLDEN, "record_census.py")
+    spec = importlib.util.spec_from_file_location("record_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_golden():
+    # the full report of classify and levi_and_involution(report.reduced_set)
+    # on every orthogonal set of at most four positive roots of B4, C4, F4 and
+    # D5 line by line, and of E6 as one digest per set size (1626 sets)
+    recorder = _load_census_recorder()
+    with open(recorder.GOLDEN, encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    lines = recorder.census_lines()
+    assert len(lines) == len(expected) == 649
+    for line, want in zip(lines, expected):
+        assert line == want
+    assert sum(json.loads(line).get("sets", 1) for line in expected) == 1626
 
 
 @pytest.mark.parametrize("case", MANIFEST, ids=[c["name"] for c in MANIFEST])

@@ -25,6 +25,7 @@ from weylorbits.linkpatterns import (
     rank_table,
     seq_S,
     type_a_datum,
+    z_orbit_offset,
 )
 from weylorbits.quotient import leq_O
 from weylorbits.weyl import to_line_notation
@@ -336,6 +337,17 @@ def test_orbit_pair_params():
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 9) for r in range(1, n // 2 + 1)])
 def test_orbit_pair_params_equals_the_decomposition_oracle(n, r):
     assert orbit_pair_params(n, r) == orbit_pair_params_by_decomposition(n, r)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_z_orbit_dimension_is_the_length_plus_the_offset(n):
+    # the orbits command reads the length column l(w), the inversions of the
+    # row's line notation, off the Z-orbit dimension
+    for r in range(n // 2 + 1):
+        offset = z_orbit_offset(n, r)
+        assert offset == r * (r - 1) // 2 + (n - 2 * r) * (n - 2 * r - 1) // 2
+        for _, line, dim in orbit_pair_params(n, r):
+            assert dim - offset == sum(a > b for a, b in combinations(line, 2)), (n, r, line)
 
 
 def test_orbit_pair_params_reads_line_notation_only(monkeypatch):

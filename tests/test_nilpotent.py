@@ -585,6 +585,45 @@ def test_levi_action_matches_the_reflect_chain():
             assert (report.levi_simple_roots, report.sigma_action) == levi_action_by_reflections(s)
 
 
+@pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4), ("E", 6)])
+def test_levi_report_reads_the_coroots_classify_made(family, rank, monkeypatch):
+    # a classify request makes the reduced set's coroot columns and their sum
+    # once; the Levi report of the reduced set reads them and asks the system
+    # for no coroot
+    rs = build_root_system(family, rank)
+    reports = [classify(orthogonal_set(rs, thetas)) for thetas in orthogonal_subsets(rs, 4)]
+    expected = [levi_action_by_reflections(report.reduced_set) for report in reports]
+
+    def refuse(self, b):
+        raise AssertionError("coroot asked again")
+
+    monkeypatch.setattr(RootSystem, "coroot", refuse)
+    for report, want in zip(reports, expected):
+        levi = levi_and_involution(report.reduced_set)
+        assert (levi.levi_simple_roots, levi.sigma_action) == want, report.oset.thetas
+        assert report.reduced_set.coroot_sum() == report.h
+
+
+def test_system_constants_are_made_on_first_use():
+    # the long-root lanes and the negated simple roots are made once per
+    # system, by the first classification that reads them; building the
+    # system and its cascade makes neither
+    rs = RootSystem("F", 4)
+    chain_cascade(rs)
+    assert not {"_long_lanes", "_negated_simple"} & set(vars(rs))
+    long_lanes = negated = None
+    for thetas in orthogonal_subsets(rs, 4):
+        report = classify(orthogonal_set(rs, thetas))
+        levi_and_involution(report.reduced_set)
+        if report.cases:
+            long_lanes = long_lanes or rs._long_lanes
+            assert rs._long_lanes is long_lanes
+        negated = negated or rs._negated_simple
+        assert rs._negated_simple is negated
+    assert long_lanes == sum(0x80 << 8 * k for k, b in enumerate(rs.roots) if rs.norms[b] == rs.long_norm)
+    assert negated == {neg(rs.simple_root(j)): j for j in range(1, 5)}
+
+
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4)])
 def test_classify_makes_one_scan_per_request(family, rank, monkeypatch):
     # a classify request as the census makes it: the report and the Levi
