@@ -25,9 +25,9 @@ with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
     MANIFEST = json.load(_fh)
 
 
-def _load_census_recorder():
-    path = os.path.join(GOLDEN, "record_census.py")
-    spec = importlib.util.spec_from_file_location("record_census", path)
+def _load_recorder(name):
+    path = os.path.join(GOLDEN, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -37,7 +37,7 @@ def test_census_golden():
     # the full report of classify and levi_and_involution(report.reduced_set)
     # on every orthogonal set of at most four positive roots of B4, C4, F4 and
     # D5 line by line, and of E6 as one digest per set size (1626 sets)
-    recorder = _load_census_recorder()
+    recorder = _load_recorder("record_census")
     with open(recorder.GOLDEN, encoding="utf-8") as fh:
         expected = fh.read().splitlines()
     lines = recorder.census_lines()
@@ -45,6 +45,17 @@ def test_census_golden():
     for line, want in zip(lines, expected):
         assert line == want
     assert sum(json.loads(line).get("sets", 1) for line in expected) == 1626
+
+
+def test_reach_golden():
+    # the orbit tables of (10, 2), (10, 3) and (12, 2), and (10, 2) as JSON,
+    # under a raised cap: 2520, 25200 and 5940 rows, one digest each
+    recorder = _load_recorder("record_reach")
+    with open(recorder.GOLDEN, encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    assert [json.loads(line)["argv"] for line in expected] == list(map(list, recorder.COMMANDS))
+    for argv, want in zip(recorder.COMMANDS, expected):
+        assert recorder.reach_line(list(argv)) == want
 
 
 @pytest.mark.parametrize("case", MANIFEST, ids=[c["name"] for c in MANIFEST])
