@@ -18,7 +18,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .roots import DEFAULT_CAP, CapExceededError, InvalidRankError, RootSystem
+from .roots import DEFAULT_CAP, CapExceededError, InvalidRankError
 from .roots import build_root_system, capped_order, cartan_entries
 
 if TYPE_CHECKING:
@@ -64,11 +64,11 @@ def _parse_nr(text: str) -> Tuple[int, int]:
     return values[0], values[1]
 
 
-def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
-    """The root systems, built only after each is known to be supported
-    (InvalidRankError otherwise) and to have |W| under WEYLORBITS_CAP
-    (DEFAULT_CAP if unset; roots.capped_order). No group is made. classify
-    and cascade ignore the cap."""
+def _check_cap(*systems: Tuple[str, int]) -> None:
+    """Check that each system is supported (InvalidRankError otherwise) and
+    has |W| under WEYLORBITS_CAP (DEFAULT_CAP if unset; roots.capped_order).
+    Builds nothing: a command builds its own systems after the check.
+    classify and cascade ignore the cap."""
     cap = os.environ.get("WEYLORBITS_CAP")
     try:
         limit = DEFAULT_CAP if cap is None else int(cap)
@@ -78,7 +78,6 @@ def _capped_systems(*systems: Tuple[str, int]) -> List[RootSystem]:
         raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
     for family, rank in systems:
         capped_order(family.upper(), rank, limit)
-    return [build_root_system(family, rank) for family, rank in systems]
 
 
 def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
@@ -93,8 +92,8 @@ def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
         parts = qt.check_datum(args.rank, cartan, I, J, K, star)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    [system] = _capped_systems((args.type, args.rank))
-    return qt.IJKDatum(system, *parts)
+    _check_cap((args.type, args.rank))
+    return qt.IJKDatum(build_root_system(args.type, args.rank), *parts)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -277,7 +276,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     if 2 * r > n or r < 0:
         raise UsageError("need 0 <= 2r <= n")
     if r:
-        _capped_systems(("A", n - 1))  # the datum of orbit_pair_params
+        _check_cap(("A", n - 1))  # the group S_n whose quotient orbit_pair_params lists
     params = lp.orbit_pair_params(n, r)
     offset = lp.z_orbit_offset(n, r)
     rows = []
@@ -341,7 +340,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         qt.check_datum(rank, cartan_entries(family, rank), [1], [3])  # before the cap
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    *_, cover_system = _capped_systems(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))
+    _check_cap(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))
+    cover_system = build_root_system(family, rank)
     for n, r in pairs_nr:
         nodes = lp.type_a_datum(n, r).quotient_elements()
         lines = [to_line_notation(node.rep) for node in nodes]

@@ -12,11 +12,12 @@ import math
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, permutations
 from operator import le
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
-from .roots import build_root_system
-from .quotient import IJKDatum
-from .weyl import to_line_notation
+from .weyl import quotient_words
+
+if TYPE_CHECKING:
+    from .quotient import IJKDatum
 
 Arrow = Tuple[int, int]
 
@@ -101,9 +102,9 @@ def all_patterns(n: int, r: int) -> List[OrientedLinkPattern]:
 
 
 def count_patterns(n: int, r: int) -> int:
-    """|D_{n,r}| = n! / (r! (n-2r)!)."""
+    """|D_{n,r}| = n! / (r! (n-2r)!) = C(n, r) (n-r)! / (n-2r)!, formed without n!."""
     _check_r(n, r)
-    return math.factorial(n) // (math.factorial(r) * math.factorial(n - 2 * r))
+    return math.comb(n, r) * math.perm(n - r, r)
 
 
 def _pattern_rows(d: OrientedLinkPattern) -> Tuple[int, ...]:
@@ -239,9 +240,9 @@ def orbit_dimension(d: OrientedLinkPattern) -> int:
     n = d.n
     arrows = [(s, t) for s, t in enumerate(_pattern_rows(d), 1) if t]
     sources, targets = {s for s, _ in arrows}, {t for _, t in arrows}
-    free = sum(
-        1 for i in range(1, n + 1) if i not in sources for j in range(i, n + 1) if j not in targets
-    )
+    # the i <= j that are not sources, one prefix count, for each j not a target
+    nonsources = accumulate(int(i not in sources) for i in range(1, n + 1))
+    free = sum(p for j, p in enumerate(nonsources, 1) if j not in targets)
     pairs = sum(1 for s, t in arrows for s2, t2 in arrows if s <= s2 and t <= t2)
     return n * (n + 1) // 2 - free - pairs
 
@@ -256,6 +257,9 @@ def type_a_parts(n: int, r: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tupl
 
 def type_a_datum(n: int, r: int) -> IJKDatum:
     """The (I,J,K) datum of S_n whose quotient indexes D_{n,r}."""
+    from .quotient import IJKDatum
+    from .roots import build_root_system
+
     if r < 1 or 2 * r > n:
         raise ValueError("need 1 <= 2r <= n")
     return IJKDatum(build_root_system("A", n - 1), *type_a_parts(n, r))
@@ -274,23 +278,23 @@ def z_orbit_offset(n: int, r: int) -> int:
 def orbit_pair_params(
     n: int, r: int
 ) -> List[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...], int]]:
-    """Orbit parameters ((w1^-1, w2^-1), w, dim) for every w in W(I,J,K).
-
-    The dimension is l(w) + z_orbit_offset(n, r), and l(w) = l(w1) + l(w2).
+    """Orbit parameters ((w1^-1, w2^-1), w, dim) for every w in W(I,J,K), listed
+    by weyl.quotient_words on the A_{n-1} bonds from lambda = 1 outside J u K:
+    omega_1 + ... + omega_r + omega_{n-r}, and 0 for r = 0. w(lambda) is -P_i on
+    eps_i, P_i = mu_1 + ... + mu_{i-1}, and w increases on the blocks of J u K,
+    so w(1..n) are the positions i by P_i, ties ascending. dim = l(w) + z_orbit_offset(n, r).
     """
     _check_r(n, r)
     base = z_orbit_offset(n, r)
-    if r == 0:
-        # I = J = {} and K = {1..n-1}: a single coset, the identity row
-        line = tuple(range(1, n + 1))
-        return [((line, line), line, base)]
+    bonds = tuple(tuple((j, -1) for j in (i - 1, i + 1) if 0 <= j < n - 1) for i in range(n - 1))
+    lam = tuple(int(i <= r or i == n - r) for i in range(1, n))
     out = []
-    for node in type_a_datum(n, r).quotient_elements():
+    for word, mu in quotient_words(bonds, lam):
+        line = tuple(i + 1 for i in sorted(range(n), key=(0, *accumulate(mu)).__getitem__))
         # w = w1 w2, w2 in W_I = S_r on positions 1..r: the J and K blocks of
         # w increase (no right descent in J u K), so w1 is w with its first r
         # entries sorted, and w2^-1 lists those r positions by their values
-        line = to_line_notation(node.rep)
         w1 = tuple(sorted(line[:r])) + line[r:]
         w2inv = _inverse_line(line[:r]) + tuple(range(r + 1, n + 1))
-        out.append(((_inverse_line(w1), w2inv), line, node.length() + base))  # l(w) = l(w1) + l(w2)
+        out.append(((_inverse_line(w1), w2inv), line, len(word) + base))  # l(w) = l(w1) + l(w2)
     return out

@@ -19,11 +19,11 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     _known,
-    _orbit,
     bruhat_leq_keys,
     check_system,
     from_word,
     parabolic_elements,
+    quotient_words,
     shorter_reflections,
     simple_indices,
     weyl_group,
@@ -169,17 +169,14 @@ class IJKDatum:
         return QuotientElement(self, self._element(self._rep_key(w.x)))
 
     def quotient_elements(self) -> List["QuotientElement"]:
-        """All of W(I,J,K) = W^{J u K}, by (length, reduced word), as the
-        orbit of lambda = sum of the fundamental coweights outside J u K,
-        whose stabilizer is W_{J u K}: w <-> mu = w(lambda). The left
-        descents of w are the i with mu_i < 0, so stripping them spells the
-        lexicographically least reduced word of w, and replaying that word
-        from rho^vee gives the key."""
+        """All of W(I,J,K) = W^{J u K}, by (length, reduced word), listed by
+        weyl.quotient_words from lambda = sum of the fundamental coweights
+        outside J u K, whose stabilizer is W_{J u K}; replaying each
+        lexicographically least reduced word from rho^vee gives the key."""
         rs = self.system
         lam = tuple(0 if i + 1 in self._jk else 1 for i in range(rs.rank))
-        words = [tuple(strip_descents(rs.bonds, mu)[0]) for mu in _orbit(rs.bonds, lam, range(rs.rank))]
-        words.sort(key=lambda w: (len(w), w))
-        return [QuotientElement(self, self._element(from_word(rs, w).x, len(w), w)) for w in words]
+        words = quotient_words(rs.bonds, lam)
+        return [QuotientElement(self, self._element(from_word(rs, w).x, len(w), w)) for w, _ in words]
 
     # -- membership in the union of Min sets ---------------------------------
 

@@ -225,6 +225,16 @@ def _orbit(bonds: Bonds, start: Coords, gens: Iterable[int]) -> Dict[Coords, int
     return lengths
 
 
+def quotient_words(bonds: Bonds, lam: Coords) -> List[Tuple[Tuple[int, ...], Coords]]:
+    """W^L for L = {i : lam_i = 0}, as the pairs (word, mu) by (length, word),
+    for a dominant coweight lam whose stabilizer is W_L: w <-> mu = w(lam) on
+    the orbit of lam. The left descents of w are the i with mu_i < 0, so
+    stripping them spells the lexicographically least reduced word of w."""
+    pairs = [(tuple(strip_descents(bonds, mu)[0]), mu) for mu in _orbit(bonds, lam, range(len(lam)))]
+    pairs.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    return pairs
+
+
 def bruhat_leq_keys(bonds: Bonds, u: Coords, lu: int, w: Coords, lw: int) -> bool:
     """Strong Bruhat order u <= w on keys of lengths lu, lw by the lifting
     property (Bjorner-Brenti, Prop. 2.2.7): for a right descent s of w,

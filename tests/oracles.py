@@ -19,7 +19,7 @@ from weylorbits.linkpatterns import (
     q_table,
     rank_table,
     seq_S,
-    type_a_datum,
+    type_a_parts,
 )
 from weylorbits.nilpotent import (
     CascadeNode,
@@ -31,7 +31,7 @@ from weylorbits.nilpotent import (
     reduce_b2long,
 )
 from weylorbits.quotient import IJKDatum, QuotientElement
-from weylorbits.roots import Coords, Coweight, RootSystem, cartan_matrix, degrees, symmetrizer
+from weylorbits.roots import Coords, Coweight, RootSystem, build_root_system, cartan_matrix, degrees, symmetrizer
 from weylorbits.weyl import (
     WeylElement,
     WeylGroup,
@@ -772,9 +772,10 @@ def leq_seq_pairwise(wp: Sequence[int], w: Sequence[int], r: int) -> bool:
 
 def orbit_pair_params_by_decomposition(n: int, r: int) -> List[Tuple]:
     """The rows ((w1^-1, w2^-1), w, dim) of linkpatterns.orbit_pair_params
-    for r >= 1, with w = w1 w2 factored by weyl.parabolic_decompose over
+    for n >= 2, read off the quotient of the datum of type_a_parts (for
+    r = 0 too), with w = w1 w2 factored by weyl.parabolic_decompose over
     L = I u J u K, and w2 checked to lie in W_I by its reduced word."""
-    datum = type_a_datum(n, r)
+    datum = IJKDatum(build_root_system("A", n - 1), *type_a_parts(n, r))
     base = r * (r - 1) // 2 + (n - 2 * r) * (n - 2 * r - 1) // 2
     out = []
     for node in datum.quotient_elements():

@@ -438,6 +438,25 @@ def test_cap_refuses_before_building_the_system(cap, argv, system, partial):
     assert proc.stderr == f"error: enumeration cap exceeded; partial size {partial}\n"
 
 
+def test_orbits_builds_no_root_system():
+    # a fresh interpreter: orbits checks the cap on |S_n| and lists the
+    # quotient on the A_{n-1} bonds alone, so no root system is built
+    script = (
+        "import io, sys\n"
+        "from weylorbits import roots\n"
+        "from weylorbits.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = main(['orbits', '--n', '6', '--r', '2'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, roots._SYSTEMS)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "WEYLORBITS_CAP"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.stdout == "0 {}\n", proc.stderr
+
+
 @pytest.mark.parametrize("cap", [None, "5"], ids=["default-cap", "cap5"])
 def test_cap_refuses_an_absurd_rank_before_its_degrees(cap, capsys, monkeypatch):
     # |W| >= 2^rank, so a rank above the cap's bit length needs no degrees

@@ -65,11 +65,13 @@ COMMANDS = {
     "orbits": ("orbits", "--n", "4", "--r", "2"),
     "selftest": ("selftest",),
 }
-# cli imports only roots; weyl comes with the quotient layers
+# cli imports only roots; weyl comes with the quotient layers, and with
+# linkpatterns, which lists W^{J u K} by weyl.quotient_words alone
 BASE = ["weylorbits.cli", "weylorbits.roots"]
 QUOTIENT = sorted(BASE + ["weylorbits.quotient", "weylorbits.weyl"])
 NILPOTENT = sorted(BASE + ["weylorbits.nilpotent"])
-ORBITS = sorted(QUOTIENT + ["weylorbits.linkpatterns"])
+ORBITS = sorted(BASE + ["weylorbits.linkpatterns", "weylorbits.weyl"])
+SELFTEST = sorted(QUOTIENT + ["weylorbits.linkpatterns"])
 
 
 @pytest.mark.parametrize(
@@ -80,7 +82,7 @@ ORBITS = sorted(QUOTIENT + ["weylorbits.linkpatterns"])
         (COMMANDS["classify"], 0, NILPOTENT),
         (COMMANDS["cascade"], 0, NILPOTENT),
         (COMMANDS["orbits"], 0, ORBITS),
-        (COMMANDS["selftest"], 0, ORBITS),
+        (COMMANDS["selftest"], 0, SELFTEST),
     ],
     ids=["poset", "compare", "classify", "cascade", "orbits", "selftest"],
 )

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import random
 from itertools import combinations, permutations
 
@@ -104,6 +105,22 @@ def test_counts():
     assert count_patterns(4, 2) == 12
     with pytest.raises(ValueError):
         count_patterns(3, 2)
+
+
+def test_count_patterns_forms_no_factorial_of_n(monkeypatch):
+    # |D_{n,r}| = C(n, r) (n-r)! / (n-2r)!: at n = 10**6 no n! is formed;
+    # test_counts checks the small cases against all_patterns
+    real = math.factorial
+
+    def factorial(k):
+        if k > 1000:
+            raise AssertionError(f"factorial of {k} formed")
+        return real(k)
+
+    monkeypatch.setattr(math, "factorial", factorial)
+    n = 10**6
+    assert count_patterns(n, 2) == n * (n - 1) * (n - 2) * (n - 3) // 2
+    assert count_patterns(n, 0) == 1
 
 
 def test_matrix_from_olp():
@@ -316,6 +333,14 @@ def test_orbit_dimension(n, r):
     assert max(dims) == 2 * r * (n - r)
 
 
+def test_orbit_dimension_is_linear_in_n():
+    # the free unknowns are counted with one prefix count: the zero pattern
+    # on 20000 vertices (2 * 10**8 pairs i <= j) is the zero orbit at once
+    assert orbit_dimension(olp(20000, [])) == 0
+    # one arrow n -> 1: the Borel orbit of E_{1n} is the line through it
+    assert orbit_dimension(olp(20000, [(20000, 1)])) == 1
+
+
 def test_orbit_pair_params():
     rows = orbit_pair_params(4, 2)
     assert len(rows) == 12
@@ -330,12 +355,14 @@ def test_orbit_pair_params():
             assert all(dim <= full for _, _, dim in params)
             if r >= 1:
                 assert sum(1 for _, _, dim in params if dim == full) == 1
-    # r = 0 is the single zero orbit
+    # r = 0 is the single zero orbit; S_1 has no simple reflection
     assert orbit_pair_params(3, 0) == [(((1, 2, 3), (1, 2, 3)), (1, 2, 3), 3)]
+    assert orbit_pair_params(1, 0) == [(((1,), (1,)), (1,), 0)]
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 9) for r in range(1, n // 2 + 1)])
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 9) for r in range(n // 2 + 1)])
 def test_orbit_pair_params_equals_the_decomposition_oracle(n, r):
+    # r = 0 against the datum I = J = {}, K = {1..n-1} of type_a_parts
     assert orbit_pair_params(n, r) == orbit_pair_params_by_decomposition(n, r)
 
 
@@ -351,8 +378,9 @@ def test_z_orbit_dimension_is_the_length_plus_the_offset(n):
 
 
 def test_orbit_pair_params_reads_line_notation_only(monkeypatch):
-    """The rows come from the line notation of each quotient element: no
-    parabolic factorization and no reduced word is computed."""
+    """The rows come from the line notation read off each point of the
+    weyl.quotient_words listing: no parabolic factorization and no reduced
+    word of an element is computed."""
 
     def refuse(*args):
         raise AssertionError("called")
@@ -367,7 +395,21 @@ def test_orbit_pair_params_reads_line_notation_only(monkeypatch):
         if isinstance(node, ast.ImportFrom) and node.module == "weyl"
         for alias in node.names
     ]
-    assert imported == ["to_line_notation"]
+    assert imported == ["quotient_words"]
+
+
+def test_orbit_pair_params_makes_no_system_datum_or_element(monkeypatch):
+    """The A_{n-1} bonds are written in place: no root system, datum or
+    Weyl group element is made, for r = 0 too."""
+    from weylorbits import quotient, roots
+
+    def refuse(*args):
+        raise AssertionError("made")
+
+    for cls in (roots.RootSystem, quotient.IJKDatum, weyl.WeylElement):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for n, r in [(1, 0), (5, 0), (6, 2), (7, 3)]:
+        assert len(orbit_pair_params(n, r)) == count_patterns(n, r)
 
 
 def test_an_arrow_too_many_shares_a_vertex():
