@@ -1,5 +1,7 @@
-"""Record the reach digests: the stdout of `orbits` tables too large for the
-golden corpus, kept as one SHA-256 per command.
+"""Record the reach digests: the stdout of commands too large for the golden
+corpus (`orbits` tables, the E6 and A7 posets, the A99 and D40 cascades, the
+classification of the highest roots of E8 and A99), kept as one SHA-256 per
+command.
 
     python3 tests/golden/record_reach.py [SRC_DIR]
 
@@ -30,6 +32,13 @@ COMMANDS = (
     ["orbits", "--n", "10", "--r", "3"],
     ["orbits", "--n", "12", "--r", "2"],
     ["orbits", "--n", "10", "--r", "2", "--format", "json"],
+    ["poset", "--type", "E", "--rank", "6", "--I", "1", "--J", "6", "--K", "2 4"],
+    ["poset", "--type", "E", "--rank", "6", "--I", "1", "--J", "6", "--K", "2 4", "--format", "json"],
+    ["poset", "--type", "A", "--rank", "7", "--I", "1 2", "--J", "6 7", "--K", "4"],
+    ["cascade", "--type", "A", "--rank", "99"],
+    ["cascade", "--type", "D", "--rank", "40"],
+    ["classify", "--type", "E", "--rank", "8", "2 3 4 6 5 4 3 2"],
+    ["classify", "--type", "A", "--rank", "99", " ".join(["1"] * 99)],
 )
 
 
