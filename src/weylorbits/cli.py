@@ -77,22 +77,23 @@ def _check_cap(*systems: Tuple[str, int]) -> None:
     if limit < 1:
         raise UsageError(f"bad WEYLORBITS_CAP value {cap!r}")
     for family, rank in systems:
-        capped_order(family.upper(), rank, limit)
+        capped_order(family, rank, limit)
 
 
-def _build_datum(args: argparse.Namespace) -> qt.IJKDatum:
+def _build_datum(args: argparse.Namespace, *extra: Tuple[str, int]) -> qt.IJKDatum:
     """The datum of the command line, validated on its Cartan entries before
-    the cap is applied, so bad input is a usage error under any cap."""
+    the cap is applied, so bad input is a usage error under any cap. The cap
+    covers the extra systems a command builds too, checked first."""
     from . import quotient as qt
 
     try:
-        cartan = cartan_entries(args.type.upper(), args.rank)
+        cartan = cartan_entries(args.type, args.rank)
         I, J, K = (_parse_ints(text) if text else [] for text in (args.I, args.J, args.K))
         star = _parse_star(args.star) if args.star else None
         parts = qt.check_datum(args.rank, cartan, I, J, K, star)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _check_cap((args.type, args.rank))
+    _check_cap(*extra, (args.type, args.rank))
     return qt.IJKDatum(build_root_system(args.type, args.rank), *parts)
 
 
@@ -336,12 +337,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     rank = int(digits)
     if any(r < 1 or 2 * r > n for n, r in pairs_nr):
         raise UsageError("need 1 <= 2r <= n")
-    try:
-        qt.check_datum(rank, cartan_entries(family, rank), [1], [3])  # before the cap
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _check_cap(*[("A", n - 1) for n, _ in pairs_nr], (family, rank))
-    cover_system = build_root_system(family, rank)
+    cover = argparse.Namespace(type=family, rank=rank, I="1", J="3", K="", star="")
+    datum = _build_datum(cover, *[("A", n - 1) for n, _ in pairs_nr])
     for n, r in pairs_nr:
         nodes = lp.type_a_datum(n, r).quotient_elements()
         lines = [to_line_notation(node.rep) for node in nodes]
@@ -359,13 +356,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         Bruhat-below some member of Min(w) (each of its representative's
         length) iff (iii) w' <=_O w."""
         i = any(
-            bruhat_leq_keys(cover_system.bonds, up.x, wp.length(), u.x, w.length())
+            bruhat_leq_keys(datum.system.bonds, up.x, wp.length(), u.x, w.length())
             for u in qt.min_set(w)
             for up in qt.min_set(wp)
         )
         return i == qt.leq_O(wp, w)
 
-    nodes = qt.IJKDatum(cover_system, [1], [3]).quotient_elements()
+    nodes = datum.quotient_elements()
     bad = next(
         (f"{wp} vs {w}" for w in nodes for wp in nodes if wp.length() == w.length() - 1 and not covers_agree(wp, w)),
         None,
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_system(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--type", required=True, help="family A-G")
+        p.add_argument("--type", type=str.upper, required=True, help="family A-G")
         p.add_argument("--rank", type=int, required=True)
 
     def add_datum(p: argparse.ArgumentParser) -> None:

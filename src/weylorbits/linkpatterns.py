@@ -279,17 +279,16 @@ def orbit_pair_params(
     n: int, r: int
 ) -> List[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...], int]]:
     """Orbit parameters ((w1^-1, w2^-1), w, dim) for every w in W(I,J,K), listed
-    by weyl.quotient_words on the A_{n-1} bonds from lambda = 1 outside J u K:
-    omega_1 + ... + omega_r + omega_{n-r}, and 0 for r = 0. w(lambda) is -P_i on
+    by weyl.quotient_words on the A_{n-1} bonds for J u K of type_a_parts:
+    lambda is omega_1 + ... + omega_r + omega_{n-r}, and 0 for r = 0. w(lambda) is -P_i on
     eps_i, P_i = mu_1 + ... + mu_{i-1}, and w increases on the blocks of J u K,
     so w(1..n) are the positions i by P_i, ties ascending. dim = l(w) + z_orbit_offset(n, r).
     """
-    _check_r(n, r)
+    _, J, K, _ = type_a_parts(n, r)
     base = z_orbit_offset(n, r)
     bonds = tuple(tuple((j, -1) for j in (i - 1, i + 1) if 0 <= j < n - 1) for i in range(n - 1))
-    lam = tuple(int(i <= r or i == n - r) for i in range(1, n))
     out = []
-    for word, mu in quotient_words(bonds, lam):
+    for word, mu in quotient_words(bonds, J + K):
         line = tuple(i + 1 for i in sorted(range(n), key=(0, *accumulate(mu)).__getitem__))
         # w = w1 w2, w2 in W_I = S_r on positions 1..r: the J and K blocks of
         # w increase (no right descent in J u K), so w1 is w with its first r

@@ -18,7 +18,6 @@ from .roots import Coords, RootSystem, coweight_reflect, strip_descents
 from .weyl import (
     WeylElement,
     WeylGroup,
-    _known,
     bruhat_leq_keys,
     check_system,
     from_word,
@@ -114,10 +113,10 @@ class IJKDatum:
     def _element(
         self, x: Coords, length: Optional[int] = None, word: Optional[Tuple[int, ...]] = None
     ) -> WeylElement:
-        """The datum's own element with key x (see weyl._known)."""
+        """The datum's own element with key x, with any known length and word."""
         w = self._own.get(x)
         if w is None:
-            w = self._own[x] = _known(self.system, x, length, word)
+            w = self._own[x] = WeylElement(self.system, x, length, word)
         return w
 
     # -- star and cosets ----------------------------------------------------
@@ -170,12 +169,10 @@ class IJKDatum:
 
     def quotient_elements(self) -> List["QuotientElement"]:
         """All of W(I,J,K) = W^{J u K}, by (length, reduced word), listed by
-        weyl.quotient_words from lambda = sum of the fundamental coweights
-        outside J u K, whose stabilizer is W_{J u K}; replaying each
-        lexicographically least reduced word from rho^vee gives the key."""
+        weyl.quotient_words; replaying each lexicographically least reduced
+        word from rho^vee gives the key."""
         rs = self.system
-        lam = tuple(0 if i + 1 in self._jk else 1 for i in range(rs.rank))
-        words = quotient_words(rs.bonds, lam)
+        words = quotient_words(rs.bonds, self._jk)
         return [QuotientElement(self, self._element(from_word(rs, w).x, len(w), w)) for w, _ in words]
 
     # -- membership in the union of Min sets ---------------------------------

@@ -30,24 +30,27 @@ from .roots import DEFAULT_CAP, CapExceededError  # the error is re-exported, as
 
 
 class WeylElement:
-    """A Weyl group element w, keyed by x = w^{-1}(rho^vee). Its length and
-    reduced word are computed once, on first use."""
+    """A Weyl group element w, keyed by x = w^{-1}(rho^vee). A caller that
+    already knows its length (an orbit's depth) or its lex-least reduced word
+    (a quotient's listing) passes them, trusted as the key is; each is
+    computed once, on first use, otherwise."""
 
-    __slots__ = ("system", "x", "_hash", "_word", "_length")
+    __slots__ = ("system", "x", "_word", "_length")
 
-    def __init__(self, system: RootSystem, x: Coords):
+    def __init__(
+        self, system: RootSystem, x: Coords, length: Optional[int] = None, word: Optional[Tuple[int, ...]] = None
+    ):
         self.system = system
         self.x = x
-        self._hash = hash(x)
-        self._word: Optional[Tuple[int, ...]] = None
-        self._length: Optional[int] = None
+        self._word = word
+        self._length = length
 
     def __eq__(self, other: object) -> bool:
         # a key's length is the rank, but A3 and C3 share keys such as s3's
         return isinstance(other, WeylElement) and self.x == other.x and self.system.family == other.system.family
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.x)
 
     def __repr__(self) -> str:
         word = self.reduced_word()
@@ -173,22 +176,11 @@ def check_system(system: RootSystem, w: WeylElement) -> None:
         raise ValueError("element of another root system")
 
 
-def _known(
-    system: RootSystem, x: Coords, length: Optional[int], word: Optional[Tuple[int, ...]] = None
-) -> WeylElement:
-    """The element with key x, of a length known from an orbit's depth and
-    with its lex-least reduced word, if known; each is computed on first use
-    otherwise."""
-    w = WeylElement(system, x)
-    w._length, w._word = length, word
-    return w
-
-
 def parabolic_elements(system: RootSystem, L: Iterable[int]) -> List[WeylElement]:
     """All elements of the standard parabolic W_L, breadth-first by length."""
     gens = simple_indices(system.rank, L)
     orbit = _orbit(system.bonds, (1,) * system.rank, gens)
-    return [_known(system, x, n) for x, n in orbit.items()]
+    return [WeylElement(system, x, n) for x, n in orbit.items()]
 
 
 def shorter_reflections(system: RootSystem, x: Coords) -> Iterator[Coords]:
@@ -225,11 +217,14 @@ def _orbit(bonds: Bonds, start: Coords, gens: Iterable[int]) -> Dict[Coords, int
     return lengths
 
 
-def quotient_words(bonds: Bonds, lam: Coords) -> List[Tuple[Tuple[int, ...], Coords]]:
-    """W^L for L = {i : lam_i = 0}, as the pairs (word, mu) by (length, word),
-    for a dominant coweight lam whose stabilizer is W_L: w <-> mu = w(lam) on
-    the orbit of lam. The left descents of w are the i with mu_i < 0, so
-    stripping them spells the lexicographically least reduced word of w."""
+def quotient_words(bonds: Bonds, L: Iterable[int]) -> List[Tuple[Tuple[int, ...], Coords]]:
+    """W^L (L 1-based) as the pairs (word, mu) by (length, word): w <-> mu =
+    w(lambda) on the orbit of lambda, the sum of the fundamental coweights
+    outside L, whose stabilizer is W_L (Bjorner-Brenti 2.4). The left descents
+    of w are the i with mu_i < 0, so stripping them spells the
+    lexicographically least reduced word of w."""
+    in_l = set(L)
+    lam = tuple(0 if i + 1 in in_l else 1 for i in range(len(bonds)))
     pairs = [(tuple(strip_descents(bonds, mu)[0]), mu) for mu in _orbit(bonds, lam, range(len(lam)))]
     pairs.sort(key=lambda pair: (len(pair[0]), pair[0]))
     return pairs
@@ -284,7 +279,7 @@ class WeylGroup:
 
     @cached_property
     def elements(self) -> List[WeylElement]:
-        return [_known(self.system, x, n) for x, n in self.lengths.items()]
+        return [WeylElement(self.system, x, n) for x, n in self.lengths.items()]
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """Strong Bruhat order via the lifting property (Bjorner-Brenti 2.2),

@@ -624,3 +624,19 @@ def _bad_outputs(tmp_path):
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
     for target in _bad_outputs(tmp_path):
         _assert_usage_error(capsys, *argv, "--output", target)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cascade", "--type", "a", "--rank", "3"),
+        ("classify", "--type", "b", "--rank", "2", "5 5"),
+        ("poset", "--type", "d", "--rank", "4", "--I", "1", "--J", "3"),
+    ],
+    ids=["cascade", "classify-error", "poset"],
+)
+def test_lowercase_type_reads_as_uppercase(capsys, argv):
+    # --type is normalized once, by the parser: every output names the
+    # system in uppercase, as the uppercase spelling does
+    upper = tuple(arg.upper() if prev == "--type" else arg for prev, arg in zip(("",) + argv, argv))
+    assert run(capsys, *argv) == run(capsys, *upper)

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import random
 import subprocess
@@ -29,7 +30,7 @@ from weylorbits.nilpotent import (
     weighted_dynkin,
 )
 from weylorbits.roots import Coweight, RootSystem, build_root_system, degrees
-from weylorbits.weyl import from_word, reflection
+from weylorbits.weyl import from_word, parabolic_elements, reflection
 
 from oracles import (
     ALL_SYSTEMS,
@@ -43,6 +44,7 @@ from oracles import (
     label_by_diagram,
     levi_action_by_reflections,
     orthogonal_subsets,
+    parabolic_degrees,
     projection_span_membership,
     random_orthogonal_set,
     reduce_b2long_by_restart,
@@ -860,3 +862,14 @@ def test_lane_invariants_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout.strip()) == (1, FAULTS)
+
+
+@pytest.mark.parametrize("family,rank", [(f, n) for f, n in ALL_SYSTEMS if n <= 6])
+def test_parabolic_order_is_the_product_of_its_component_degrees(family, rank):
+    # |W_L| read off the diagram alone: the product of the degrees of the
+    # types that _subdiagram_type gives the _components of L, for every L
+    rs = build_root_system(family, rank)
+    for k in range(rank + 1):
+        for L in combinations(range(1, rank + 1), k):
+            degs = parabolic_degrees(rs, L)
+            assert math.prod(degs) == len(parabolic_elements(rs, L)), (L, degs)

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylorbits import weyl
 from weylorbits.quotient import IJKDatum
 from weylorbits.roots import RootSystem, build_root_system
 from weylorbits.weyl import (
@@ -11,13 +14,21 @@ from weylorbits.weyl import (
     from_word,
     identity,
     parabolic_decompose,
+    parabolic_elements,
     right_weak_leq,
     simple_reflection,
     to_line_notation,
     weyl_group,
 )
 
-from oracles import action_matrix, bruhat_leq_subword, min_coset_reps, tableau_leq
+from oracles import (
+    action_matrix,
+    bruhat_leq_subword,
+    min_coset_reps,
+    parabolic_degrees,
+    poincare_polynomial,
+    tableau_leq,
+)
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +295,30 @@ def test_line_notation_round_trip(data):
     assert to_line_notation(from_line_notation(rs, perm)) == tuple(perm)
     w = from_word(rs, word)
     assert from_line_notation(rs, to_line_notation(w)) == w
+
+
+def test_listed_elements_keep_the_length_and_word_the_listing_knows(monkeypatch):
+    # the quotient listing knows each node's length and lex-least word, and an
+    # orbit each element's length (its depth): none is stripped again. The
+    # nodes of W_I are the datum's elements from its W_I orbit, made before the
+    # listing with their lengths only.
+    rs = build_root_system("D", 4)
+    nodes = IJKDatum(rs, [1], [3]).quotient_elements()
+    w_i = {w.x for w in parabolic_elements(rs, [1])}
+
+    def refuse(*args):
+        raise AssertionError("strip_descents called")
+
+    monkeypatch.setattr(weyl, "strip_descents", refuse)
+    assert len(nodes) == 96 and max(node.length() for node in nodes) == 11
+    for node in nodes:
+        if node.rep.x not in w_i:
+            word = node.rep.reduced_word()
+            assert node.length() == len(word) and from_word(rs, word) == node.rep
+    # the count of each length is the Poincare polynomial of the degrees
+    for elements, degs in [
+        (parabolic_elements(rs, [1, 2, 4]), parabolic_degrees(rs, [1, 2, 4])),
+        (weyl_group(rs).elements, [2, 4, 6, 4]),
+    ]:
+        counts = Counter(w.length() for w in elements)
+        assert [counts[k] for k in range(len(counts))] == poincare_polynomial(degs)
